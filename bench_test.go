@@ -7,6 +7,7 @@ package lancet_test
 // ablations called out in DESIGN.md §8.
 
 import (
+	"math"
 	"testing"
 
 	"lancet"
@@ -93,6 +94,36 @@ func BenchmarkPlanCold(b *testing.B) {
 		}
 		sess.WorkloadSkew = 1.2
 		if _, err := sess.Lancet(lancet.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// skewShapeSeq numbers BenchmarkPlanSkewedShape's iterations across runs,
+// so every iteration of every -count repetition plans a fresh shape.
+var skewShapeSeq int
+
+// BenchmarkPlanSkewedShape measures a cold plan for a routing shape the
+// process has never seen — a fresh GPT2-S/V100x32 session under a new Zipf
+// exponent in [0.5, 1.5) each iteration, planned and then priced with
+// PredictUs — so neither the session nor the process-wide routing-proxy memo
+// can answer, and the functional gate run and every micro-batch split it
+// prices are inside the measurement. perf_floor.txt ratchets it.
+func BenchmarkPlanSkewedShape(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		skewShapeSeq++
+		sess, err := lancet.NewSession(lancet.GPT2SMoE(0), lancet.MustCluster("V100", 32))
+		if err != nil {
+			b.Fatal(err)
+		}
+		// An irrational rotation never repeats an exponent.
+		sess.WorkloadSkew = 0.5 + math.Mod(float64(skewShapeSeq)*0.6180339887498949, 1)
+		plan, err := sess.Lancet(lancet.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := plan.PredictUs(); err != nil {
 			b.Fatal(err)
 		}
 	}

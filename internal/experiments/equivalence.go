@@ -81,7 +81,7 @@ func PaddingSavings() (*Table, error) {
 		Header: []string{"Gate", "Routed tokens/device", "Padded slots/device", "Payload share"},
 	}
 	cfg := moe.Config{Devices: 8, ExpertsPerDevice: 2, Capacity: 8, Hidden: 16, FFN: 32}
-	layer, err := moe.NewLayer(cfg, 77)
+	layer, err := moe.NewGateLayer(cfg, 77)
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +91,7 @@ func PaddingSavings() (*Table, error) {
 		xs[d] = tensor.Randn(rng, 1, 96, cfg.Hidden)
 	}
 	for _, gate := range []moe.Gate{moe.SwitchGate{}, moe.Top2Gate{}, moe.BatchPrioritizedGate{}} {
-		_, stats := layer.RouteOnly(xs, gate, 1)
+		stats := layer.Route(xs, gate).Split(1)
 		perDev := float64(stats.Routed) / float64(cfg.Devices)
 		share := perDev / float64(stats.PaddedTokensPerDevice)
 		t.AddRow(gate.Name(), fmt.Sprintf("%.1f", perDev),

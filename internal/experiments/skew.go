@@ -29,14 +29,14 @@ func LoadSkew() (*Table, error) {
 		Header: []string{"Skew", "Dropped (%)", "Hot-device traffic share", "Irregular payload share"},
 	}
 	cfg := moe.Config{Devices: 8, ExpertsPerDevice: 2, Capacity: 8, Hidden: 16, FFN: 32}
-	layer, err := moe.NewLayer(cfg, 31)
+	layer, err := moe.NewGateLayer(cfg, 31)
 	if err != nil {
 		return nil, err
 	}
 	tokens := 96
 	for _, skew := range []float64{0, 0.5, 1.0, 1.5, 2.0} {
 		xs := moe.SkewedInputs(layer, tokens, skew, 11)
-		_, stats := layer.RouteOnly(xs, moe.SwitchGate{}, 1)
+		stats := layer.Route(xs, moe.SwitchGate{}).Split(1)
 		slots := cfg.Devices * tokens
 		dropped := float64(stats.Dropped) / float64(slots) * 100
 

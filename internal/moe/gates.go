@@ -90,11 +90,15 @@ func (SwitchGate) TopK() int { return 1 }
 
 // Route implements Gate.
 func (SwitchGate) Route(scores *tensor.Tensor, _ int, st *CapacityState) []TokenRoute {
-	routes := make([]TokenRoute, scores.Rows())
+	n := scores.Rows()
+	routes := make([]TokenRoute, n)
+	slots := make([]Slot, n)
+	buf := make([]float32, scores.Cols())
 	for i := range routes {
-		probs := tensor.Softmax(append([]float32(nil), scores.Row(i)...))
-		e := tensor.TopK(probs, 1)[0]
-		routes[i] = TokenRoute{Slots: []Slot{{Expert: e, Weight: probs[e], Kept: st.take(e)}}}
+		probs := tensor.Softmax(append(buf[:0], scores.Row(i)...))
+		e := tensor.Argmax(probs)
+		slots[i] = Slot{Expert: e, Weight: probs[e], Kept: st.take(e)}
+		routes[i] = TokenRoute{Slots: slots[i : i+1 : i+1]}
 	}
 	return routes
 }
@@ -113,16 +117,19 @@ func (Top2Gate) TopK() int { return 2 }
 
 // Route implements Gate.
 func (Top2Gate) Route(scores *tensor.Tensor, _ int, st *CapacityState) []TokenRoute {
-	routes := make([]TokenRoute, scores.Rows())
+	n := scores.Rows()
+	routes := make([]TokenRoute, n)
+	slots := make([]Slot, 0, 2*n)
+	buf := make([]float32, scores.Cols())
 	for i := range routes {
-		probs := tensor.Softmax(append([]float32(nil), scores.Row(i)...))
+		probs := tensor.Softmax(append(buf[:0], scores.Row(i)...))
 		top := tensor.TopK(probs, 2)
 		norm := probs[top[0]] + probs[top[1]]
-		slots := make([]Slot, 0, 2)
+		lo := len(slots)
 		for _, e := range top {
 			slots = append(slots, Slot{Expert: e, Weight: probs[e] / norm, Kept: st.take(e)})
 		}
-		routes[i] = TokenRoute{Slots: slots}
+		routes[i] = TokenRoute{Slots: slots[lo:len(slots):len(slots)]}
 	}
 	return routes
 }
@@ -203,32 +210,50 @@ func (BatchPrioritizedGate) TopK() int { return 1 }
 
 // Route implements Gate.
 func (BatchPrioritizedGate) Route(scores *tensor.Tensor, _ int, st *CapacityState) []TokenRoute {
-	n := scores.Rows()
-	type scored struct {
-		idx        int
-		expert     int
-		prob       float32
-		importance float32
+	toks := prioritize(scores)
+	routes := make([]TokenRoute, len(toks))
+	slots := make([]Slot, len(toks))
+	for _, i := range priorityOrder(toks) {
+		tk := toks[i]
+		e := int(tk.expert)
+		slots[i] = Slot{Expert: e, Weight: tk.importance, Kept: st.take(e)}
+		routes[i] = TokenRoute{Slots: slots[i : i+1 : i+1]}
 	}
-	toks := make([]scored, n)
-	for i := 0; i < n; i++ {
-		probs := tensor.Softmax(append([]float32(nil), scores.Row(i)...))
-		e := tensor.TopK(probs, 1)[0]
-		toks[i] = scored{idx: i, expert: e, prob: probs[e], importance: probs[e]}
+	return routes
+}
+
+// prioToken is one token's Batch Prioritized Routing decision before
+// admission: its top-1 expert and its importance (that expert's gate
+// probability, which is also the slot weight).
+type prioToken struct {
+	expert     int32
+	importance float32
+}
+
+// prioritize scores every row of a [T, E] logit block, reusing one softmax
+// buffer for the whole block.
+func prioritize(scores *tensor.Tensor) []prioToken {
+	toks := make([]prioToken, scores.Rows())
+	buf := make([]float32, scores.Cols())
+	for i := range toks {
+		probs := tensor.Softmax(append(buf[:0], scores.Row(i)...))
+		e := tensor.Argmax(probs)
+		toks[i] = prioToken{expert: int32(e), importance: probs[e]}
 	}
-	order := make([]int, n)
+	return toks
+}
+
+// priorityOrder is the admission order of a block: token indices by
+// descending importance, ties in arrival order.
+func priorityOrder(toks []prioToken) []int {
+	order := make([]int, len(toks))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
 		return toks[order[a]].importance > toks[order[b]].importance
 	})
-	routes := make([]TokenRoute, n)
-	for _, i := range order {
-		tk := toks[i]
-		routes[tk.idx] = TokenRoute{Slots: []Slot{{Expert: tk.expert, Weight: tk.prob, Kept: st.take(tk.expert)}}}
-	}
-	return routes
+	return order
 }
 
 // splitmix is the SplitMix64 mixing function.

@@ -39,16 +39,32 @@ type Layer struct {
 
 // NewLayer initializes deterministic weights from the seed.
 func NewLayer(cfg Config, seed int64) (*Layer, error) {
-	if err := cfg.Validate(); err != nil {
+	l, rng, err := newGateLayer(cfg, seed)
+	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
-	l := &Layer{Cfg: cfg, GateW: tensor.Randn(rng, 0.02, cfg.Hidden, cfg.TotalExperts())}
 	for e := 0; e < cfg.TotalExperts(); e++ {
 		l.W1 = append(l.W1, tensor.Randn(rng, 0.02, cfg.Hidden, cfg.FFN))
 		l.W2 = append(l.W2, tensor.Randn(rng, 0.02, cfg.FFN, cfg.Hidden))
 	}
 	return l, nil
+}
+
+// NewGateLayer initializes only the gate projection: GateW is drawn first
+// from the seed, so it equals NewLayer(cfg, seed).GateW, and the expert
+// weights are left nil. The layer supports gating (Route, RouteOnly) and
+// the input generators, not Forward.
+func NewGateLayer(cfg Config, seed int64) (*Layer, error) {
+	l, _, err := newGateLayer(cfg, seed)
+	return l, err
+}
+
+func newGateLayer(cfg Config, seed int64) (*Layer, *rand.Rand, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
+	rng := rand.New(rand.NewSource(seed))
+	return &Layer{Cfg: cfg, GateW: tensor.Randn(rng, 0.02, cfg.Hidden, cfg.TotalExperts())}, rng, nil
 }
 
 // OwnerDevice returns the device hosting global expert e.
@@ -121,11 +137,7 @@ func (l *Layer) ForwardMicroBatched(xs []*tensor.Tensor, gate Gate, k int) ([]*t
 	if k < 1 {
 		k = 1
 	}
-	stats := &Stats{
-		SendTokens:            zeroMatrix(cfg.Devices, cfg.Devices),
-		ExpertTokens:          make([]int, cfg.TotalExperts()),
-		PaddedTokensPerDevice: cfg.TotalExperts() * cfg.Capacity,
-	}
+	stats := newStats(cfg)
 	ys := make([]*tensor.Tensor, cfg.Devices)
 	for d := range ys {
 		ys[d] = tensor.New(xs[d].Shape...)
@@ -202,17 +214,17 @@ func (l *Layer) ForwardMicroBatched(xs []*tensor.Tensor, gate Gate, k int) ([]*t
 	return ys, stats
 }
 
-// RouteOnly runs just the gating of every device (unpartitioned) and
-// returns the per-token routes — used by equivalence tests and by the
-// simulator integration to derive irregular all-to-all payloads without
-// paying for expert arithmetic.
+// RouteOnly runs just the gating of every device, split into k
+// micro-batches with capacity passing, and returns the per-token routes. It
+// re-runs the gate projection per micro-batch and is the reference oracle
+// Route + Split is pinned against; callers that need several splits of one
+// batch use Route once and Split per k. k < 1 is treated as 1.
 func (l *Layer) RouteOnly(xs []*tensor.Tensor, gate Gate, k int) ([][]TokenRoute, *Stats) {
 	cfg := l.Cfg
-	stats := &Stats{
-		SendTokens:            zeroMatrix(cfg.Devices, cfg.Devices),
-		ExpertTokens:          make([]int, cfg.TotalExperts()),
-		PaddedTokensPerDevice: cfg.TotalExperts() * cfg.Capacity,
+	if k < 1 {
+		k = 1
 	}
+	stats := newStats(cfg)
 	all := make([][]TokenRoute, cfg.Devices)
 	states := make([]*CapacityState, cfg.Devices)
 	for d := range states {
@@ -230,19 +242,8 @@ func (l *Layer) RouteOnly(xs []*tensor.Tensor, gate Gate, k int) ([][]TokenRoute
 			block := &tensor.Tensor{Shape: []int{hi - lo, cfg.Hidden}, Data: xs[d].Data[lo*cfg.Hidden : hi*cfg.Hidden]}
 			scores := tensor.MatMul(block, l.GateW)
 			routes := gate.Route(scores, lo, states[d])
-			for i, r := range routes {
-				all[d][lo+i] = r
-				for _, s := range r.Slots {
-					if s.Kept {
-						stats.Routed++
-						stats.ExpertTokens[s.Expert]++
-						stats.SendTokens[d][l.OwnerDevice(s.Expert)]++
-						microSent[d]++
-					} else {
-						stats.Dropped++
-					}
-				}
-			}
+			copy(all[d][lo:], routes)
+			microSent[d] = stats.count(cfg, d, routes)
 		}
 		stats.MicroSendTokens = append(stats.MicroSendTokens, microSent)
 	}

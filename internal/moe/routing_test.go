@@ -1,0 +1,122 @@
+package moe
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"lancet/internal/tensor"
+)
+
+// TestSplitMatchesRouteOnly is the differential check behind route-once
+// profiling: for every gate, over a generated space of layer shapes,
+// capacities, input distributions and split counts (k beyond the token count
+// included), one Route followed by Split(k) reports exactly the statistics a
+// fresh RouteOnly(xs, gate, k) does.
+func TestSplitMatchesRouteOnly(t *testing.T) {
+	gates := []Gate{SwitchGate{}, Top2Gate{}, RandomGate{Seed: 11}, HashGate{}, BatchPrioritizedGate{}, ExpertChoiceGate{}}
+	rng := rand.New(rand.NewSource(20240517))
+	trials := 50
+	if testing.Short() {
+		trials = 15
+	}
+	for _, gate := range gates {
+		var dropped, clean int
+		for trial := 0; trial < trials; trial++ {
+			cfg := Config{
+				Devices:          1 + rng.Intn(32),
+				ExpertsPerDevice: 1 + rng.Intn(4),
+				Hidden:           4 + rng.Intn(6),
+				FFN:              4,
+			}
+			if cfg.TotalExperts() < gate.TopK() {
+				cfg.ExpertsPerDevice = gate.TopK() // top-2 needs two experts
+			}
+			tokens := 1 + rng.Intn(40)
+			// From one slot per expert (heavy dropping) to more than a
+			// device can ever send (none).
+			cfg.Capacity = 1 + rng.Intn(tokens*gate.TopK()+1)
+			l, err := NewGateLayer(cfg, rng.Int63())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var xs []*tensor.Tensor
+			input := "balanced"
+			switch rng.Intn(3) {
+			case 0:
+				xs = make([]*tensor.Tensor, cfg.Devices)
+				for d := range xs {
+					xs[d] = tensor.Randn(rng, 1, tokens, cfg.Hidden)
+				}
+			case 1:
+				input = "zipf"
+				xs = SkewedInputs(l, tokens, 0.5+rng.Float64(), rng.Int63())
+			default:
+				input = "hot"
+				xs = HotExpertInputs(l, tokens, 0.15+0.5*rng.Float64(), rng.Int63())
+			}
+			r := l.Route(xs, gate)
+			for k := 1; k <= 8; k++ {
+				_, want := l.RouteOnly(xs, gate, k)
+				if got := r.Split(k); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %+v tokens=%d %s k=%d: Split\n%+v\nRouteOnly\n%+v",
+						gate.Name(), cfg, tokens, input, k, got, want)
+				}
+				if k == 1 {
+					if want.Dropped > 0 {
+						dropped++
+					} else {
+						clean++
+					}
+				}
+			}
+		}
+		// Expert choice never drops; every other gate must have been
+		// exercised both with and without capacity overflow.
+		if _, ec := gate.(ExpertChoiceGate); !ec && (dropped == 0 || clean == 0) {
+			t.Errorf("%s: generated space hit %d dropping and %d drop-free batches; want both", gate.Name(), dropped, clean)
+		}
+	}
+}
+
+// TestSplitIsRepeatable pins Routing's immutability: splitting twice, in any
+// order, returns equal statistics that share no memory.
+func TestSplitIsRepeatable(t *testing.T) {
+	l, xs := testLayer(t, 3)
+	for _, gate := range []Gate{SwitchGate{}, BatchPrioritizedGate{}, ExpertChoiceGate{}} {
+		r := l.Route(xs, gate)
+		a := r.Split(3)
+		r.Split(5)
+		b := r.Split(3)
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: repeated Split(3) differs", gate.Name())
+		}
+		b.SendTokens[0][0] = -1
+		if c := r.Split(3); c.SendTokens[0][0] == -1 {
+			t.Errorf("%s: Split results alias the routing's totals", gate.Name())
+		}
+	}
+}
+
+// TestNewGateLayerMatchesNewLayer pins that skipping the expert weights
+// leaves the gate projection unchanged.
+func TestNewGateLayerMatchesNewLayer(t *testing.T) {
+	cfg := Config{Devices: 3, ExpertsPerDevice: 2, Capacity: 4, Hidden: 8, FFN: 16}
+	full, err := NewLayer(cfg, 12345)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gateOnly, err := NewGateLayer(cfg, 12345)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !gateOnly.GateW.Equal(full.GateW) {
+		t.Error("NewGateLayer's GateW differs from NewLayer's")
+	}
+	if gateOnly.W1 != nil || gateOnly.W2 != nil {
+		t.Error("NewGateLayer must not draw expert weights")
+	}
+	if _, err := NewGateLayer(Config{}, 1); err == nil {
+		t.Error("NewGateLayer must reject invalid config")
+	}
+}

@@ -87,6 +87,11 @@ type Service struct {
 	// derived value dip between scrapes.
 	planMisses atomic.Int64
 
+	// recheckHits counts lookups whose memory get missed but whose flight
+	// re-check found the plan a previous leader had just stored: memory
+	// hits the plan store's own counters record as misses.
+	recheckHits atomic.Int64
+
 	// retiredCost accumulates evicted sessions' cost-model counters so
 	// /v1/stats stays monotonic when the session pool churns.
 	retiredCost struct{ hits, misses, profiled atomic.Int64 }
@@ -233,6 +238,7 @@ func (s *Service) resultForWith(c *canonical, fw string, hint []lancet.PipelineH
 		// outer get's recorded miss from double-counting this request.
 		if r, ok := s.plans.peek(key); ok {
 			fromStore = true
+			s.recheckHits.Add(1)
 			return r, nil
 		}
 		if s.disk != nil {
@@ -729,14 +735,14 @@ func (s *Service) Stats() StatsResponse {
 			StaleServed:   s.staleServed.Load(),
 		},
 	}
-	resp.PlanTiers.MemoryHits = resp.PlanStore.Hits
+	resp.PlanTiers.MemoryHits = resp.PlanStore.Hits + s.recheckHits.Load()
 	if s.disk != nil {
 		ds := s.disk.stats()
 		resp.DiskStore = &ds
 		resp.PlanTiers.DiskHits = ds.Hits
 	}
 	resp.PlanTiers.Misses = s.planMisses.Load()
-	if total := resp.PlanTiers.MemoryHits + resp.PlanStore.Misses; total > 0 {
+	if total := resp.PlanStore.Hits + resp.PlanStore.Misses; total > 0 {
 		resp.PlanTiers.CombinedHitRate =
 			float64(resp.PlanTiers.MemoryHits+resp.PlanTiers.DiskHits) / float64(total)
 	}

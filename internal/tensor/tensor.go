@@ -157,6 +157,9 @@ func TopK(x []float32, k int) []int {
 	if k > len(x) {
 		k = len(x)
 	}
+	if k == 1 {
+		return []int{Argmax(x)}
+	}
 	idx := make([]int, 0, k)
 	taken := make([]bool, len(x))
 	for n := 0; n < k; n++ {
@@ -173,6 +176,19 @@ func TopK(x []float32, k int) []int {
 		idx = append(idx, best)
 	}
 	return idx
+}
+
+// Argmax returns the index of the largest entry of x (ties broken by lower
+// index) in one pass — TopK(x, 1)[0] without the selection bookkeeping. x
+// must be non-empty.
+func Argmax(x []float32) int {
+	best := 0
+	for i, v := range x {
+		if v > x[best] {
+			best = i
+		}
+	}
+	return best
 }
 
 // Add accumulates src into dst elementwise.

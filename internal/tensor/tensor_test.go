@@ -79,6 +79,33 @@ func TestTopK(t *testing.T) {
 	}
 }
 
+// TestArgmaxMatchesSelection pins Argmax (and TopK's k=1 path) to the
+// general selection loop, ties and NaNs included.
+func TestArgmaxMatchesSelection(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 500; trial++ {
+		x := make([]float32, 1+rng.Intn(9))
+		for i := range x {
+			x[i] = float32(rng.Intn(4)) // few values: ties are common
+			if rng.Intn(20) == 0 {
+				x[i] = float32(math.NaN())
+			}
+		}
+		want := -1
+		for i, v := range x {
+			if want == -1 || v > x[want] {
+				want = i
+			}
+		}
+		if got := Argmax(x); got != want {
+			t.Fatalf("Argmax(%v) = %d, want %d", x, got, want)
+		}
+		if got := TopK(x, 1); len(got) != 1 || got[0] != want {
+			t.Fatalf("TopK(%v, 1) = %v, want [%d]", x, got, want)
+		}
+	}
+}
+
 func TestGeLUFixedPoints(t *testing.T) {
 	x := []float32{0}
 	GeLU(x)

@@ -22,6 +22,7 @@
 package lancet
 
 import (
+	"container/list"
 	"fmt"
 	"math"
 	"math/rand"
@@ -343,9 +344,13 @@ type Session struct {
 
 	costRAF *cost.Model
 
-	mu        sync.Mutex              // guards profiles, costBlind and workloadProfile; plans of one session may run concurrently
+	mu        sync.Mutex              // guards profiles, routing, costBlind and workloadProfile; plans of one session may run concurrently
 	profiles  map[int]*routingProfile // cache: micro-batch count -> profile
 	costBlind map[string]*cost.Model  // lazy: planner-blindness ablation models (flat topology, uniform hardware)
+	// routing is the parametric proxy's one gate run, for routingShape;
+	// profile derives every micro-batch split from it.
+	routing      *moe.Routing
+	routingShape proxyShape
 	// workloadProfile, when set via SetWorkloadProfile, replaces the
 	// parametric gate-proxy workload entirely: planning prices and
 	// simulation replays this streamed traffic shape (DESIGN.md §16).
@@ -518,6 +523,7 @@ func (s *Session) SetWorkloadProfile(p *netsim.RoutingProfile) error {
 	s.workloadProfile = p
 	// Cached per-k dispatch statistics describe the superseded workload.
 	s.profiles = make(map[int]*routingProfile)
+	s.routing = nil
 	return nil
 }
 
@@ -1002,26 +1008,141 @@ func sumf(xs []float64) float64 {
 	return t
 }
 
-// proxyKey identifies one routing-proxy computation. The proxy is a pure
+// proxyShape identifies one routing-proxy gate run. The proxy is a pure
 // function of these fields (layer and input seeds, proxy token count and
-// hidden width are fixed constants), so its result can be shared across
-// sessions process-wide.
-type proxyKey struct {
-	devices, expertsPerGPU, k int
+// hidden width are fixed constants), so its results can be shared across
+// sessions process-wide. It is k-free: every micro-batch split derives from
+// the one gate run (moe.Routing.Split).
+type proxyShape struct {
+	devices, expertsPerGPU    int
 	gate                      model.GateKind
 	capacityFactor, skew, hot float64
 }
 
-// proxyCache memoizes routing proxies across sessions (DESIGN.md §13): a
-// cold plan for a (cluster, gate, workload) shape the process has already
-// planned — the common case for pooled serving and the experiment suite —
-// skips the functional gate run entirely. Keys are config shapes, so the
-// map stays small for any realistic process lifetime.
-var proxyCache sync.Map // proxyKey -> *routingProfile
+// proxyKey identifies one proxy profile: a shape split k ways.
+type proxyKey struct {
+	shape proxyShape
+	k     int
+}
 
-// profile runs the functional gate on a scaled-down token batch (the
-// routing distribution depends on token and expert counts, not hidden
-// width) split into k micro-batches, and caches the dispatch statistics.
+// proxyMemoCapacity bounds the process-wide proxy memo. The experiment suite
+// plans 28 distinct keys and the root-package tests at most 39, so both run
+// without eviction, while a server fed never-seen skew values keeps a fixed
+// footprint instead of one entry per request.
+const proxyMemoCapacity = 256
+
+// proxyMemo memoizes routing profiles across sessions (DESIGN.md §13): a
+// cold plan for a (cluster, gate, workload, k) key the process planned
+// recently — the common case for pooled serving and the experiment suite —
+// skips the gate run entirely. Least recently used keys are evicted.
+var proxyMemo = &lruMemo{ll: list.New(), items: make(map[proxyKey]*list.Element)}
+
+// lruMemo is a mutex-guarded LRU map of at most proxyMemoCapacity
+// profiles. Profiles are shared with every reader and never mutated.
+type lruMemo struct {
+	mu    sync.Mutex
+	ll    *list.List // of *memoEntry, most recently used first
+	items map[proxyKey]*list.Element
+}
+
+type memoEntry struct {
+	key proxyKey
+	p   *routingProfile
+}
+
+func (m *lruMemo) get(key proxyKey) (*routingProfile, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	el, ok := m.items[key]
+	if !ok {
+		return nil, false
+	}
+	m.ll.MoveToFront(el)
+	return el.Value.(*memoEntry).p, true
+}
+
+// put stores p unless key is already present (concurrent misses of one
+// key compute equal profiles; the first one stays).
+func (m *lruMemo) put(key proxyKey, p *routingProfile) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if el, ok := m.items[key]; ok {
+		m.ll.MoveToFront(el)
+		return
+	}
+	m.items[key] = m.ll.PushFront(&memoEntry{key: key, p: p})
+	if m.ll.Len() > proxyMemoCapacity {
+		delete(m.items, m.ll.Remove(m.ll.Back()).(*memoEntry).key)
+	}
+}
+
+func (m *lruMemo) len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.ll.Len()
+}
+
+// proxyShape returns the shape of the session's parametric routing proxy.
+// It reads the skew knobs directly: callers hold s.mu, which skewedWorkload
+// would re-lock.
+func (s *Session) proxyShape() proxyShape {
+	devices := s.Cluster.TotalGPUs()
+	if devices > 16 && s.WorkloadSkew <= 0 && s.WorkloadHotExpert <= 0 {
+		devices = 16 // balanced routing fractions saturate; keep the proxy cheap
+	}
+	return proxyShape{
+		devices: devices, expertsPerGPU: s.Config.ExpertsPerGPU,
+		gate:           s.Config.Gate,
+		capacityFactor: s.Config.CapacityFactor,
+		skew:           s.WorkloadSkew, hot: s.WorkloadHotExpert,
+	}
+}
+
+// proxyTokens is the routing proxy's batch per device: routing fractions
+// depend on token and expert counts, not on hidden width.
+const proxyTokens = 256
+
+// route runs the functional gate once over the shape's proxy batch.
+func (sh proxyShape) route() (*moe.Routing, error) {
+	layer, inputs, err := sh.batch()
+	if err != nil {
+		return nil, err
+	}
+	return layer.Route(inputs, gateFor(sh.gate)), nil
+}
+
+// batch builds the shape's gate-only layer and its scaled-down synthetic
+// token batch.
+func (sh proxyShape) batch() (*moe.Layer, []*tensor.Tensor, error) {
+	experts := sh.devices * sh.expertsPerGPU
+	capacity := int(float64(proxyTokens*sh.gate.TopK()) / float64(experts) * sh.capacityFactor)
+	if capacity < 1 {
+		capacity = 1
+	}
+	layer, err := moe.NewGateLayer(moe.Config{
+		Devices: sh.devices, ExpertsPerDevice: sh.expertsPerGPU,
+		Capacity: capacity, Hidden: 16, FFN: 16,
+	}, 12345)
+	if err != nil {
+		return nil, nil, err
+	}
+	var inputs []*tensor.Tensor
+	switch {
+	case sh.skew > 0:
+		inputs = moe.SkewedInputs(layer, proxyTokens, sh.skew, 777)
+	case sh.hot > 0:
+		inputs = moe.HotExpertInputs(layer, proxyTokens, sh.hot, 777)
+	default:
+		inputs = makeProxyInputs(sh.devices, proxyTokens, 16)
+	}
+	return layer, inputs, nil
+}
+
+// profile returns the dispatch statistics of the session's workload split
+// into k micro-batches. A streamed workload is packaged directly; the
+// parametric workload runs the functional gate once per proxy shape (kept
+// on the session) and derives each k from that run by replaying capacity
+// admission, which equals a fresh k-way gate run exactly.
 func (s *Session) profile(k int) (*routingProfile, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1033,56 +1154,39 @@ func (s *Session) profile(k int) (*routingProfile, error) {
 		s.profiles[k] = p
 		return p, nil
 	}
-	devices := s.Cluster.TotalGPUs()
-	// workloadProfile is nil here, so the direct knob check is the full
-	// skewedWorkload predicate (which would re-lock mu).
-	if devices > 16 && s.WorkloadSkew <= 0 && s.WorkloadHotExpert <= 0 {
-		devices = 16 // balanced routing fractions saturate; keep the proxy cheap
-	}
-	key := proxyKey{
-		devices: devices, expertsPerGPU: s.Config.ExpertsPerGPU, k: k,
-		gate:           s.Config.Gate,
-		capacityFactor: s.Config.CapacityFactor,
-		skew:           s.WorkloadSkew, hot: s.WorkloadHotExpert,
-	}
-	if c, ok := proxyCache.Load(key); ok {
-		p := c.(*routingProfile) // shared and never mutated after publication
+	shape := s.proxyShape()
+	key := proxyKey{shape: shape, k: k}
+	if p, ok := proxyMemo.get(key); ok {
 		s.profiles[k] = p
 		return p, nil
 	}
-	tokens := 256
-	experts := devices * s.Config.ExpertsPerGPU
-	capacity := int(float64(tokens*s.Config.Gate.TopK()) / float64(experts) * s.Config.CapacityFactor)
-	if capacity < 1 {
-		capacity = 1
+	// The skew knobs are mutable fields, so the kept run is checked
+	// against the current shape.
+	if s.routing == nil || s.routingShape != shape {
+		r, err := shape.route()
+		if err != nil {
+			return nil, err
+		}
+		s.routing, s.routingShape = r, shape
 	}
-	layer, err := moe.NewLayer(moe.Config{
-		Devices: devices, ExpertsPerDevice: s.Config.ExpertsPerGPU,
-		Capacity: capacity, Hidden: 16, FFN: 16,
-	}, 12345)
+	p, err := newRoutingProfile(s.routing.Split(k), shape)
 	if err != nil {
 		return nil, err
 	}
-	var inputs []*tensor.Tensor
-	switch {
-	case s.WorkloadSkew > 0:
-		inputs = moe.SkewedInputs(layer, tokens, s.WorkloadSkew, 777)
-	case s.WorkloadHotExpert > 0:
-		inputs = moe.HotExpertInputs(layer, tokens, s.WorkloadHotExpert, 777)
-	default:
-		inputs = makeProxyInputs(devices, tokens, 16)
-	}
-	_, stats := layer.RouteOnly(inputs, s.gateImpl(), k)
+	proxyMemo.put(key, p)
+	s.profiles[k] = p
+	return p, nil
+}
 
+// newRoutingProfile packages one proxy split's statistics.
+func newRoutingProfile(stats *moe.Stats, shape proxyShape) (*routingProfile, error) {
 	p := &routingProfile{
-		devices: devices, tokens: tokens,
+		devices: shape.devices, tokens: proxyTokens,
 		routed: stats.Routed, dropped: stats.Dropped,
 		counts:         stats.SendTokens,
 		hotExpertShare: stats.HottestExpertShare(),
 	}
-	// Direct knob check again: skewedWorkload would re-lock mu, and the
-	// streamed-profile leg returned earlier in this function.
-	if s.WorkloadSkew > 0 || s.WorkloadHotExpert > 0 {
+	if shape.skew > 0 || shape.hot > 0 {
 		np, err := netsim.ProfileFromCounts(stats.SendTokens)
 		if err != nil {
 			return nil, fmt.Errorf("lancet: routing profile from gate counts: %w", err)
@@ -1097,8 +1201,6 @@ func (s *Session) profile(k int) (*routingProfile, error) {
 		}
 		p.shares = append(p.shares, sum/float64(len(row))/padded)
 	}
-	proxyCache.Store(key, p)
-	s.profiles[k] = p
 	return p, nil
 }
 
@@ -1188,21 +1290,4 @@ func makeProxyInputs(devices, tokens, hidden int) []*tensor.Tensor {
 		xs[d] = tensor.Randn(rng, 1, tokens, hidden)
 	}
 	return xs
-}
-
-func (s *Session) gateImpl() moe.Gate {
-	switch s.Config.Gate {
-	case model.GateTop2:
-		return moe.Top2Gate{}
-	case model.GateBatchPriority:
-		return moe.BatchPrioritizedGate{}
-	case model.GateRandom:
-		return moe.RandomGate{Seed: 99}
-	case model.GateHash:
-		return moe.HashGate{}
-	case model.GateExpertChoice:
-		return moe.ExpertChoiceGate{}
-	default:
-		return moe.SwitchGate{}
-	}
 }

@@ -1,0 +1,163 @@
+package lancet
+
+import (
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+)
+
+// proxyOracle builds the k-way proxy profile the slow way, from a fresh
+// k-way RouteOnly gate run over the shape's proxy batch.
+func proxyOracle(t *testing.T, shape proxyShape, k int) *routingProfile {
+	t.Helper()
+	layer, inputs, err := shape.batch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stats := layer.RouteOnly(inputs, gateFor(shape.gate), k)
+	p, err := newRoutingProfile(stats, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestProfileMatchesRouteOnlyOracle pins route-once profiling at the
+// session level: every k-way profile a session derives from its single gate
+// run equals the profile of a fresh k-way gate run, for arrival-order (Switch,
+// Top-2) and admission-order (BPR, expert choice) gates under Zipf and
+// hot-expert routing. The skew values are unique to this test, so the
+// process-wide memo cannot answer from another test's entries.
+func TestProfileMatchesRouteOnlyOracle(t *testing.T) {
+	top2 := GPT2SMoE(0)
+	top2.Gate = GateTop2
+	ec := ViTSMoE(0)
+	ec.Gate = GateExpertChoice
+	configs := []struct {
+		name string
+		cfg  ModelConfig
+	}{{"gpt2-s", GPT2SMoE(0)}, {"vit-s", ViTSMoE(0)}, {"top2", top2}, {"expert-choice", ec}}
+	for _, c := range configs {
+		for _, routing := range []string{"zipf", "hot"} {
+			t.Run(fmt.Sprintf("%s/%s", c.name, routing), func(t *testing.T) {
+				s, err := NewSession(c.cfg, MustCluster("V100", 16))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if routing == "zipf" {
+					s.WorkloadSkew = 1.0371
+				} else {
+					s.WorkloadHotExpert = 0.4137
+				}
+				shape := s.proxyShape()
+				for k := 1; k <= 8; k++ {
+					got, err := s.profile(k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := proxyOracle(t, shape, k); !reflect.DeepEqual(got, want) {
+						t.Fatalf("k=%d: session profile %+v, oracle %+v", k, got, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestProfileFollowsSkewKnobs pins that the session's kept gate run is keyed
+// by the proxy shape: changing a skew knob after profiling re-runs the gate
+// for the new shape rather than splitting the old run.
+func TestProfileFollowsSkewKnobs(t *testing.T) {
+	s := newTestSession(t)
+	s.WorkloadSkew = 0.8123
+	if _, err := s.profile(1); err != nil {
+		t.Fatal(err)
+	}
+	s.WorkloadSkew = 1.3917
+	got, err := s.profile(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := proxyOracle(t, s.proxyShape(), 2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("profile after a skew change: %+v, oracle %+v", got, want)
+	}
+}
+
+// TestProxyMemoBounded pins the process-wide memo's fixed footprint:
+// storing more distinct shapes than its capacity keeps the size at the
+// capacity, and an evicted shape recomputes to an identical profile.
+func TestProxyMemoBounded(t *testing.T) {
+	newSession := func(skew float64) *Session {
+		s := newTestSession(t)
+		s.WorkloadSkew = skew
+		return s
+	}
+	first, err := newSession(0.6001).profile(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Shapes no session produces (negative device counts) fill the memo
+	// without paying for gate runs.
+	for i := 0; i < proxyMemoCapacity+10; i++ {
+		proxyMemo.put(proxyKey{shape: proxyShape{devices: -1 - i}, k: 1}, &routingProfile{})
+	}
+	if n := proxyMemo.len(); n != proxyMemoCapacity {
+		t.Fatalf("memo holds %d entries, want its capacity %d", n, proxyMemoCapacity)
+	}
+	evicted := newSession(0.6001)
+	if _, ok := proxyMemo.get(proxyKey{shape: evicted.proxyShape(), k: 3}); ok {
+		t.Fatal("the oldest shape survived more than capacity newer ones")
+	}
+	again, err := evicted.profile(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == first {
+		t.Error("an evicted shape was served from the memo")
+	}
+	if !reflect.DeepEqual(again, first) {
+		t.Errorf("recomputed profile %+v differs from the evicted one %+v", again, first)
+	}
+}
+
+// TestProfileConcurrent reaches the process-wide memo and one session's kept
+// gate run from several goroutines at once — sessions that share memo keys,
+// and goroutines that share a session — and checks every profile against
+// the oracle. Run with -race.
+func TestProfileConcurrent(t *testing.T) {
+	skews := []float64{0.9137, 1.2219}
+	shared := newTestSession(t)
+	shared.WorkloadSkew = skews[0]
+	want := make(map[proxyKey]*routingProfile)
+	for _, skew := range skews {
+		s := newTestSession(t)
+		s.WorkloadSkew = skew
+		for k := 1; k <= 4; k++ {
+			want[proxyKey{shape: s.proxyShape(), k: k}] = proxyOracle(t, s.proxyShape(), k)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		s := shared
+		if g%2 == 1 {
+			s = newTestSession(t)
+			s.WorkloadSkew = skews[g%4/2]
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 4; k >= 1; k-- {
+				got, err := s.profile(k)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if w := want[proxyKey{shape: s.proxyShape(), k: k}]; !reflect.DeepEqual(got, w) {
+					t.Errorf("skew %v k=%d: concurrent profile differs from the oracle", s.WorkloadSkew, k)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
