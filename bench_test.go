@@ -99,6 +99,27 @@ func BenchmarkPlanCold(b *testing.B) {
 	}
 }
 
+// BenchmarkBaselineTutel measures the Tutel baseline as an uncached plan
+// request prices it — a fresh GPT2-S/V100x16 session, the overlap-degree
+// search over TutelDegrees (each candidate rewritten and simulated), then
+// PredictUs on the chosen plan. perf_floor.txt ratchets it.
+func BenchmarkBaselineTutel(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sess, err := lancet.NewSession(lancet.GPT2SMoE(0), lancet.MustCluster("V100", 16))
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan, err := sess.Baseline(lancet.FrameworkTutel)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := plan.PredictUs(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // skewShapeSeq numbers BenchmarkPlanSkewedShape's iterations across runs,
 // so every iteration of every -count repetition plans a fresh shape.
 var skewShapeSeq int

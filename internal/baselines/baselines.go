@@ -68,6 +68,14 @@ func SequentialPlan(b *model.Built) *ir.Graph { return b.Graph }
 // given degree, forming the Tutel communication-computation pipeline
 // (paper Fig. 4b / Fig. 5a).
 func TutelPlan(b *model.Built, cm *cost.Model, degree int) (*ir.Graph, error) {
+	var cores []partition.Range
+	return tutelPlan(b, degree, &cores)
+}
+
+// tutelPlan is TutelPlan over the cores' axis assignments in *cores, which
+// it infers on the first call with a degree above 1. The assignments do not
+// depend on the degree, so a degree search infers them once.
+func tutelPlan(b *model.Built, degree int, cores *[]partition.Range) (*ir.Graph, error) {
 	if degree < 1 {
 		return nil, fmt.Errorf("baselines: invalid overlap degree %d", degree)
 	}
@@ -78,35 +86,44 @@ func TutelPlan(b *model.Built, cm *cost.Model, degree int) (*ir.Graph, error) {
 		degree = b.CapacityC
 	}
 	g := b.Graph
-	var ranges []partition.Range
-	addWindow := func(start, end int) error {
-		window := g.Instrs[start : end+1]
-		asg := partition.InferAxes(g, window, false)
-		if asg == nil {
-			return fmt.Errorf("baselines: a2a+experts window [@%d,@%d] not partitionable", start, end)
+	if *cores == nil {
+		found := make([]partition.Range, 0, 2*len(b.MoE))
+		addWindow := func(start, end int) error {
+			asg := partition.InferAxes(g, g.Instrs[start:end+1], false)
+			if asg == nil {
+				return fmt.Errorf("baselines: a2a+experts window [@%d,@%d] not partitionable", start, end)
+			}
+			found = append(found, partition.Range{Start: start, End: end, Axes: asg})
+			return nil
 		}
-		ranges = append(ranges, partition.Range{Start: start, End: end, K: degree, Axes: asg})
-		return nil
+		for _, h := range b.MoE {
+			if err := addWindow(h.DispatchA2A, h.CombineA2A); err != nil {
+				return nil, err
+			}
+			if err := addWindow(h.BwdCombineA2A, h.BwdDispatchA2A); err != nil {
+				return nil, err
+			}
+		}
+		*cores = found
 	}
-	for _, h := range b.MoE {
-		if err := addWindow(h.DispatchA2A, h.CombineA2A); err != nil {
-			return nil, err
-		}
-		if err := addWindow(h.BwdCombineA2A, h.BwdDispatchA2A); err != nil {
-			return nil, err
-		}
+	ranges := make([]partition.Range, len(*cores))
+	for i, c := range *cores {
+		c.K = degree
+		ranges[i] = c
 	}
 	return partition.Apply(g, ranges)
 }
 
 // BestTutelPlan searches TutelDegrees with the predictor and returns the
-// fastest plan, mirroring the paper's per-experiment degree search.
+// fastest plan, mirroring the paper's per-experiment degree search. Every
+// degree shares one inference of the cores' axes.
 func BestTutelPlan(b *model.Built, cm *cost.Model, predict func(*ir.Graph) (float64, error)) (*ir.Graph, int, error) {
 	bestT := math.Inf(1)
 	var bestG *ir.Graph
 	bestD := 1
+	var cores []partition.Range
 	for _, d := range TutelDegrees {
-		g, err := TutelPlan(b, cm, d)
+		g, err := tutelPlan(b, d, &cores)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -32,14 +32,19 @@ func BenchmarkPartitionPass(b *testing.B) {
 }
 
 // BenchmarkAxisInference isolates the constraint solver on the full MoE
-// window.
+// window, as the DP sweep runs it: on a scratch whose binding table is
+// warm.
 func BenchmarkAxisInference(b *testing.B) {
 	built, _ := benchFixture(b)
 	h := built.MoE[0]
 	window := built.Graph.Instrs[h.Gate : h.Gather+1]
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.beginAxes(built.Graph, true)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if inferAxes(built.Graph, window, true) == nil {
+		if !sc.solveAxes(built.Graph, window) {
 			b.Fatal("window must be solvable")
 		}
 	}
@@ -51,7 +56,7 @@ func BenchmarkPipelineCost(b *testing.B) {
 	built, cm := benchFixture(b)
 	h := built.MoE[0]
 	window := built.Graph.Instrs[h.Gate : h.Gather+1]
-	asg := inferAxes(built.Graph, window, true)
+	asg := InferAxes(built.Graph, window, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pipelineCost(built.Graph, cm, window, asg, 4, nil, 1)
@@ -98,14 +103,14 @@ func BenchmarkPartitionDP(b *testing.B) {
 	built, cm := benchFixture(b)
 	h := built.MoE[0]
 	window := built.Graph.Instrs[h.Gate : h.Gather+1]
-	asg := inferAxes(built.Graph, window, true)
-	if asg == nil {
-		b.Fatal("window must be solvable")
-	}
 	pr := cm.NewA2APricer(nil)
 	sc := getScratch()
 	defer putScratch(sc)
 	sc.beginDurMemo(len(built.Graph.Instrs), 8)
+	sc.beginAxes(built.Graph, true)
+	if !sc.solveAxes(built.Graph, window) {
+		b.Fatal("window must be solvable")
+	}
 	built.Graph.Preds(window[0].ID) // build the adjacency index up front
 	sink := 0.0
 	// Warm the memoized instruction profiles and the scratch arenas.
@@ -113,11 +118,11 @@ func BenchmarkPartitionDP(b *testing.B) {
 	for k := 2; k <= 8; k++ {
 		sink += sc.pipelineSpan(cm, window, k, pr, 1)
 	}
-	sink += boundaryCostUs(built.Graph, cm, window, asg, sc)
+	sink += boundaryCostUs(built.Graph, cm, window, sc)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		boundary := boundaryCostUs(built.Graph, cm, window, asg, sc)
+		boundary := boundaryCostUs(built.Graph, cm, window, sc)
 		sc.prepareWindow(built.Graph, window)
 		for k := 2; k <= 8; k++ {
 			sink += sc.pipelineSpan(cm, window, k, pr, 1) + boundary

@@ -102,18 +102,19 @@ type Result struct {
 type choice struct {
 	from int
 	k    int
-	axes Assignment
 	pUs  float64
 	sUs  float64
 }
 
 // Run executes the operator partition pass. The DP sweep runs entirely on a
-// pooled scratch arena — prefix and DP tables, per-window dependency
-// indexes, the pipeline simulation's end-time matrix — and prices
-// all-to-alls through a batched pricer acquired once up front, so the inner
-// loop performs no allocations and no per-candidate cache round-trips in
-// steady state (DESIGN.md §13). Chosen ranges and costs are byte-identical
-// to the original per-candidate implementation.
+// pooled scratch arena — prefix and DP tables, the axis solver's binding
+// table and per-tensor assignment, per-window dependency and stage indexes,
+// the pipeline simulation's end-time matrix — and prices all-to-alls
+// through a batched pricer acquired once up front, so the sweep performs no
+// allocations and no per-candidate cache round-trips in steady state
+// (DESIGN.md §13). Only the chosen ranges get an Assignment map. Chosen
+// ranges and costs are byte-identical to the original per-candidate
+// implementation.
 func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 	opts.fillDefaults()
 	if err := cm.ValidateProfile(opts.Profile); err != nil {
@@ -124,6 +125,7 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 	defer putScratch(sc)
 	sc.beginDurMemo(len(g.Instrs), opts.MaxPartitions)
 	sc.beginWindowCosts(opts.MaxPartitions)
+	sc.beginAxes(g, opts.GatePartialBatch)
 
 	// The forward pass is the program prefix; everything after is
 	// backward/optimizer and is handled by the dW scheduling pass.
@@ -171,18 +173,17 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 			if !windowHasA2A(window) {
 				continue
 			}
-			asg := inferAxes(g, window, opts.GatePartialBatch)
-			if asg == nil {
+			if !sc.solveAxes(g, window) {
 				continue
 			}
 			kmax := opts.MaxPartitions
-			if m := maxParts(g, asg); m < kmax {
+			if m := sc.maxParts(g); m < kmax {
 				kmax = m
 			}
 			// The boundary plumbing cost is k-independent; price it once per
 			// window and add it to every candidate's simulated span (the same
 			// sum pipelineCost computed per candidate).
-			boundary := boundaryCostUs(g, cm, window, asg, sc)
+			boundary := boundaryCostUs(g, cm, window, sc)
 			sc.prepareWindow(g, window)
 			if hk := hintKFor(opts.Hint, bounds[i], bounds[j]-1); hk >= 2 && hk <= kmax {
 				if p, ok := probeHint(sc, cm, window, hk, kmax, pr, opts.PayloadFraction, boundary, res); ok {
@@ -192,7 +193,7 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 					// T[j]/best[j] exactly where the full sweep would.
 					if t := T[i] + p; t < T[j] {
 						T[j] = t
-						best[j] = choice{from: i, k: hk, axes: asg, pUs: p, sUs: serial}
+						best[j] = choice{from: i, k: hk, pUs: p, sUs: serial}
 					}
 					continue
 				}
@@ -204,7 +205,7 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 				}
 				if t := T[i] + p; t < T[j] {
 					T[j] = t
-					best[j] = choice{from: i, k: k, axes: asg, pUs: p, sUs: serial}
+					best[j] = choice{from: i, k: k, pUs: p, sUs: serial}
 				}
 			}
 		}
@@ -212,13 +213,15 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 	res.ForwardUs = T[n]
 	res.SerialForwardUs = prefix[fwdEnd]
 
-	// Backtrack the chosen ranges.
+	// Backtrack the chosen ranges. The solver is deterministic, so
+	// re-solving a chosen window reproduces the assignment the sweep priced.
 	for j := n; j > 0; {
 		c := best[j]
 		if c.k >= 2 {
+			sc.solveAxes(g, g.Instrs[bounds[c.from]:bounds[j]])
 			res.Ranges = append(res.Ranges, Range{
 				Start: bounds[c.from], End: bounds[j] - 1,
-				K: c.k, Axes: c.axes, PredictedUs: c.pUs, SerialUs: c.sUs,
+				K: c.k, Axes: sc.assignment(), PredictedUs: c.pUs, SerialUs: c.sUs,
 			})
 		}
 		j = c.from
@@ -228,7 +231,7 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 		res.Ranges[l], res.Ranges[r] = res.Ranges[r], res.Ranges[l]
 	}
 
-	ng, err := applyRanges(g, res.Ranges)
+	ng, err := applyRanges(g, res.Ranges, sc)
 	if err != nil {
 		return nil, fmt.Errorf("partition: rewrite failed: %w", err)
 	}

@@ -40,7 +40,7 @@ func moeWindow(b *model.Built, withGate, withGather bool) []*ir.Instr {
 func TestInferAxesCapacityOnly(t *testing.T) {
 	b, _ := buildFixture(t)
 	w := moeWindow(b, false, false) // [a2a, experts, a2a]
-	asg := inferAxes(b.Graph, w, true)
+	asg := InferAxes(b.Graph, w, true)
 	if asg == nil {
 		t.Fatal("a2a+experts window must be partitionable")
 	}
@@ -58,7 +58,7 @@ func TestInferAxesCapacityOnly(t *testing.T) {
 func TestInferAxesGatherForcesIrr(t *testing.T) {
 	b, _ := buildFixture(t)
 	w := moeWindow(b, false, true) // [a2a, experts, a2a, gather]
-	asg := inferAxes(b.Graph, w, true)
+	asg := InferAxes(b.Graph, w, true)
 	if asg == nil {
 		t.Fatal("window through gather must be partitionable")
 	}
@@ -82,7 +82,7 @@ func TestInferAxesGatherForcesIrr(t *testing.T) {
 func TestInferAxesGateEndpoints(t *testing.T) {
 	b, _ := buildFixture(t)
 	w := moeWindow(b, true, true) // [gate, a2a, experts, a2a, gather]
-	asg := inferAxes(b.Graph, w, true)
+	asg := InferAxes(b.Graph, w, true)
 	if asg == nil {
 		t.Fatal("full MoE window must be partitionable with a partial-batch gate")
 	}
@@ -107,11 +107,11 @@ func TestInferAxesGateEndpoints(t *testing.T) {
 
 func TestInferAxesBPRRejectsGate(t *testing.T) {
 	b, _ := buildFixture(t)
-	if asg := inferAxes(b.Graph, moeWindow(b, true, true), false); asg != nil {
+	if asg := InferAxes(b.Graph, moeWindow(b, true, true), false); asg != nil {
 		t.Error("batch-prioritized gate must not be partitionable")
 	}
 	// But the window after the gate remains legal (Fig. 4c).
-	if asg := inferAxes(b.Graph, moeWindow(b, false, true), false); asg == nil {
+	if asg := InferAxes(b.Graph, moeWindow(b, false, true), false); asg == nil {
 		t.Error("post-gate window must stay partitionable under BPR")
 	}
 }
@@ -120,12 +120,14 @@ func TestMaxParts(t *testing.T) {
 	g := ir.NewGraph()
 	a := g.NewTensor("a", ir.Shape{4, 100}, ir.F16, ir.Activation)
 	b := g.NewTensor("b", ir.Shape{16, 8, 100}, ir.F16, ir.Activation)
-	asg := Assignment{a.ID: AxisBatch, b.ID: AxisCap}
-	if got := maxParts(g, asg); got != 4 {
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.setAssignment(g, Assignment{a.ID: AxisBatch, b.ID: AxisCap})
+	if got := sc.maxParts(g); got != 4 {
 		t.Errorf("maxParts = %d, want 4 (batch dim)", got)
 	}
-	asg[a.ID] = AxisNP
-	if got := maxParts(g, asg); got != 8 {
+	sc.setAssignment(g, Assignment{a.ID: AxisNP, b.ID: AxisCap})
+	if got := sc.maxParts(g); got != 8 {
 		t.Errorf("maxParts = %d, want 8 (capacity dim)", got)
 	}
 }
@@ -133,12 +135,15 @@ func TestMaxParts(t *testing.T) {
 func TestStageDecomposition(t *testing.T) {
 	b, _ := buildFixture(t)
 	w := moeWindow(b, true, true)
-	st := stageOf(w)
-	// gate | a2a | experts | a2a | gather -> stages 0,1,2,3,4.
-	want := []int{0, 1, 2, 3, 4}
+	st := stageStarts(w, nil)
+	// gate | a2a | experts | a2a | gather -> one stage per position.
+	want := []int{0, 1, 2, 3, 4, 5}
+	if len(st) != len(want) {
+		t.Fatalf("stage starts = %v, want %v", st, want)
+	}
 	for i := range want {
 		if st[i] != want[i] {
-			t.Fatalf("stages = %v, want %v", st, want)
+			t.Fatalf("stage starts = %v, want %v", st, want)
 		}
 	}
 }
@@ -164,7 +169,7 @@ func TestSchedulePlanOrder(t *testing.T) {
 func TestPipelineCostShape(t *testing.T) {
 	b, cm := buildFixture(t)
 	w := moeWindow(b, true, true)
-	asg := inferAxes(b.Graph, w, true)
+	asg := InferAxes(b.Graph, w, true)
 	if asg == nil {
 		t.Fatal("window not partitionable")
 	}
@@ -310,18 +315,18 @@ func TestGroupsCoverForwardExactly(t *testing.T) {
 
 func TestScaledShape(t *testing.T) {
 	s := ir.Shape{7, 10, 3}
-	if got := scaledShape(s, AxisBatch, 2, 0); got[0] != 4 {
+	if got := scaledShape(nil, s, AxisBatch, 2, 0); got[0] != 4 {
 		t.Errorf("first batch piece dim = %d, want 4", got[0])
 	}
-	if got := scaledShape(s, AxisBatch, 2, 1); got[0] != 3 {
+	if got := scaledShape(nil, s, AxisBatch, 2, 1); got[0] != 3 {
 		t.Errorf("second batch piece dim = %d, want 3", got[0])
 	}
-	if got := scaledShape(s, AxisCap, 5, 0); got[1] != 2 {
+	if got := scaledShape(nil, s, AxisCap, 5, 0); got[1] != 2 {
 		t.Errorf("capacity piece dim = %d, want 2", got[1])
 	}
 	total := 0
 	for p := 0; p < 3; p++ {
-		total += scaledShape(s, AxisIrr, 3, p)[1]
+		total += scaledShape(nil, s, AxisIrr, 3, p)[1]
 	}
 	if total != 10 {
 		t.Errorf("pieces don't cover the axis: %d != 10", total)
@@ -341,8 +346,8 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
-// The DP inner loop — window index, boundary cost, pipeline-span sweep —
-// must not allocate once the scratch arenas and instruction-profile caches
+// The DP inner loop — axis inference, window index, boundary cost,
+// pipeline-span sweep — must not allocate once the scratch arenas and instruction-profile caches
 // are warm (DESIGN.md §13).
 func TestDPInnerLoopZeroAllocs(t *testing.T) {
 	if race.Enabled {
@@ -351,23 +356,29 @@ func TestDPInnerLoopZeroAllocs(t *testing.T) {
 	b, cm := buildFixture(t)
 	h := b.MoE[0]
 	w := b.Graph.Instrs[h.Gate : h.Gather+1]
-	asg := inferAxes(b.Graph, w, true)
-	if asg == nil {
-		t.Fatal("window must be solvable")
-	}
 	pr := cm.NewA2APricer(nil)
 	sc := getScratch()
 	defer putScratch(sc)
 	sc.beginDurMemo(len(b.Graph.Instrs), 8)
+	sc.beginAxes(b.Graph, true)
 	b.Graph.Preds(w[0].ID) // build the adjacency index up front
 	sink := 0.0
+	if !sc.solveAxes(b.Graph, w) {
+		t.Fatal("window must be solvable")
+	}
 	sc.prepareWindow(b.Graph, w)
 	for k := 2; k <= 8; k++ {
 		sink += sc.pipelineSpan(cm, w, k, pr, 1)
 	}
-	sink += boundaryCostUs(b.Graph, cm, w, asg, sc)
+	sink += boundaryCostUs(b.Graph, cm, w, sc)
 	if allocs := testing.AllocsPerRun(100, func() {
-		boundary := boundaryCostUs(b.Graph, cm, w, asg, sc)
+		if !sc.solveAxes(b.Graph, w) {
+			t.Fatal("window must be solvable")
+		}
+		if sc.maxParts(b.Graph) < 8 {
+			t.Fatal("window must admit 8 partitions")
+		}
+		boundary := boundaryCostUs(b.Graph, cm, w, sc)
 		sc.prepareWindow(b.Graph, w)
 		for k := 2; k <= 8; k++ {
 			sink += sc.pipelineSpan(cm, w, k, pr, 1) + boundary

@@ -36,19 +36,22 @@ func a2aProfiledUs(in *ir.Instr, k int, pr cost.A2APricer, frac float64) float64
 	return t
 }
 
-// stageOf assigns each window position to a pipeline stage: a stage is a
-// maximal run of instructions that execute consecutively on the same stream
-// (all computation or all communication), per Sec. 5.3.
-func stageOf(window []*ir.Instr) []int {
-	st := make([]int, len(window))
-	cur := 0
+// stageStarts returns, in buf's storage, the first window position of
+// every pipeline stage followed by len(window): stage s covers positions
+// [st[s], st[s+1]). A stage is a maximal run of instructions that execute
+// consecutively on the same stream (all computation or all communication),
+// per Sec. 5.3.
+//
+//lancet:hotpath
+func stageStarts(window []*ir.Instr, buf []int) []int {
+	buf = buf[:0]
 	for i, in := range window {
-		if i > 0 && in.IsComm() != window[i-1].IsComm() {
-			cur++
+		if i == 0 || in.IsComm() != window[i-1].IsComm() {
+			buf = append(buf, i)
 		}
-		st[i] = cur
 	}
-	return st
+	buf = append(buf, len(window))
+	return buf
 }
 
 // instanceRef identifies one micro-partition instance of a window op.
@@ -59,22 +62,16 @@ type instanceRef struct {
 
 // schedulePlan returns the pipeline issue order of Fig. 9: stages in order;
 // within a stage, partitions in index order; within a stage-partition pair,
-// original program order. The DP hot path inlines these loops over the
-// scratch arenas (dpScratch.pipelineSpan); this materialized form remains
-// for the rewrite, which needs the plan as a value.
+// original program order. The rewrite emits micro-instances in this order,
+// and dpScratch.pipelineSpan walks the same stage ranges when it prices a
+// candidate.
 func schedulePlan(window []*ir.Instr, k int) []instanceRef {
-	st := stageOf(window)
-	nStages := 0
-	if len(window) > 0 {
-		nStages = st[len(window)-1] + 1
-	}
+	st := stageStarts(window, nil)
 	plan := make([]instanceRef, 0, len(window)*k)
-	for s := 0; s < nStages; s++ {
+	for s := 0; s+1 < len(st); s++ {
 		for p := 0; p < k; p++ {
-			for pos, stage := range st {
-				if stage == s {
-					plan = append(plan, instanceRef{pos, p})
-				}
+			for pos := st[s]; pos < st[s+1]; pos++ {
+				plan = append(plan, instanceRef{pos, p})
 			}
 		}
 	}
@@ -108,14 +105,14 @@ func instanceDur(cm *cost.Model, in *ir.Instr, k int, pr cost.A2APricer, frac fl
 // boundaryCostUs prices the Partition/Reconstruct plumbing at the pipeline
 // edges. Batch- and capacity-axis splits are views into contiguous buffers
 // (free); irregular splits and reconstructions physically regroup tokens
-// and pay memory traffic. The cost is k-independent, so Run computes it
-// once per window and adds it to every candidate's span; membership tests
-// run on the scratch's generation-stamped ID arrays instead of per-call
-// maps, and tensors are visited in program order (deterministic, unlike
-// the map iteration it replaces).
+// and pay memory traffic. The axes are the scratch's current assignment
+// (solveAxes or setAssignment). The cost is k-independent, so Run computes
+// it once per window and adds it to every candidate's span; membership
+// tests run on the scratch's generation-stamped ID arrays, and tensors are
+// visited in program order.
 //
 //lancet:hotpath
-func boundaryCostUs(g *ir.Graph, cm *cost.Model, window []*ir.Instr, asg Assignment, sc *dpScratch) float64 {
+func boundaryCostUs(g *ir.Graph, cm *cost.Model, window []*ir.Instr, sc *dpScratch) float64 {
 	sc.insideI = grow(sc.insideI, len(g.Instrs))
 	sc.prodT = grow(sc.prodT, len(g.Tensors))
 	sc.seenT = grow(sc.seenT, len(g.Tensors))
@@ -138,14 +135,14 @@ func boundaryCostUs(g *ir.Graph, cm *cost.Model, window []*ir.Instr, asg Assignm
 				continue
 			}
 			sc.seenT[t] = gen
-			if asg[t] == AxisIrr {
+			if sc.axis(t) == AxisIrr {
 				total += copyCost(t) // irregular boundary split
 			}
 		}
 	}
 	for _, in := range window {
 		for _, t := range in.Outs {
-			if asg[t] != AxisIrr {
+			if sc.axis(t) != AxisIrr {
 				continue
 			}
 			for _, c := range g.Consumers(t) {
@@ -171,9 +168,10 @@ func pipelineCost(g *ir.Graph, cm *cost.Model, window []*ir.Instr, asg Assignmen
 	sc := getScratch()
 	defer putScratch(sc)
 	sc.beginDurMemo(len(g.Instrs), k)
+	sc.setAssignment(g, asg)
 	sc.prepareWindow(g, window)
 	span := sc.pipelineSpan(cm, window, k, pr, frac)
-	return span + boundaryCostUs(g, cm, window, asg, sc)
+	return span + boundaryCostUs(g, cm, window, sc)
 }
 
 // serialCost is the unpartitioned execution time of the window: the plain

@@ -28,6 +28,7 @@ func Replay(g *ir.Graph, cm *cost.Model, opts Options, fixed []Range) (*Result, 
 	defer putScratch(sc)
 	sc.beginDurMemo(len(g.Instrs), opts.MaxPartitions)
 	sc.beginWindowCosts(opts.MaxPartitions)
+	sc.beginAxes(g, opts.GatePartialBatch)
 
 	fwdEnd := len(g.Instrs)
 	for i, in := range g.Instrs {
@@ -60,21 +61,20 @@ func Replay(g *ir.Graph, cm *cost.Model, opts Options, fixed []Range) (*Result, 
 		if !windowHasA2A(window) {
 			continue
 		}
-		asg := inferAxes(g, window, opts.GatePartialBatch)
-		if asg == nil {
+		if !sc.solveAxes(g, window) {
 			continue
 		}
 		k := r.K
 		if k > opts.MaxPartitions {
 			k = opts.MaxPartitions
 		}
-		if m := maxParts(g, asg); m < k {
+		if m := sc.maxParts(g); m < k {
 			k = m
 		}
 		if k < 2 {
 			continue
 		}
-		boundary := boundaryCostUs(g, cm, window, asg, sc)
+		boundary := boundaryCostUs(g, cm, window, sc)
 		sc.prepareWindow(g, window)
 		p, fresh := sc.windowCost(cm, window, k, pr, opts.PayloadFraction, boundary)
 		if fresh {
@@ -83,11 +83,11 @@ func Replay(g *ir.Graph, cm *cost.Model, opts Options, fixed []Range) (*Result, 
 		serial := prefix[r.End+1] - prefix[r.Start]
 		res.ForwardUs += p - serial
 		res.Ranges = append(res.Ranges, Range{
-			Start: r.Start, End: r.End, K: k, Axes: asg,
+			Start: r.Start, End: r.End, K: k, Axes: sc.assignment(),
 			PredictedUs: p, SerialUs: serial,
 		})
 	}
-	ng, err := applyRanges(g, res.Ranges)
+	ng, err := applyRanges(g, res.Ranges, sc)
 	if err != nil {
 		return nil, fmt.Errorf("partition: rewrite failed: %w", err)
 	}

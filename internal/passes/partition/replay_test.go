@@ -104,3 +104,30 @@ func TestReplayClampsOversizedK(t *testing.T) {
 		}
 	}
 }
+
+// TestApplyRejectsBadRanges covers the rewrite's own validation, which
+// externally constructed ranges (the Tutel baseline's) reach without
+// Replay's checks: each malformed range is an error, never a panic.
+func TestApplyRejectsBadRanges(t *testing.T) {
+	b, _ := buildFixture(t)
+	n := len(b.Graph.Instrs)
+	cases := []struct {
+		name    string
+		ranges  []Range
+		wantErr string
+	}{
+		{"inverted", []Range{{Start: 5, End: 2, K: 2}}, "inverted"},
+		{"overlapping", []Range{{Start: 0, End: 5, K: 2}, {Start: 3, End: 8, K: 2}}, "overlapping"},
+		{"negative start", []Range{{Start: -1, End: 3, K: 2}}, "outside"},
+		{"past the graph", []Range{{Start: n - 1, End: n, K: 2}}, "outside"},
+		{"zero partitions", []Range{{Start: 0, End: 3, K: 0}}, "partition count"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Apply(b.Graph, tc.ranges)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("Apply(%v) error = %v, want mention of %q", tc.ranges, err, tc.wantErr)
+			}
+		})
+	}
+}

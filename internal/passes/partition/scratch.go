@@ -13,14 +13,15 @@ import (
 //lancet:hotpath
 
 // dpScratch is the reusable working set of one partition-pass DP sweep
-// (DESIGN.md §13): the prefix/DP tables, the per-window dependency and stage
-// indexes, and the flat end-time matrix of the pipeline simulation. All of
-// it is borrowed from a sync.Pool and grown monotonically, so the DP inner
-// loop — durations, clock simulation, boundary costs — allocates nothing in
-// steady state. Window-local lookups (instruction position, produced/seen
-// tensor marks) are generation-stamped arrays indexed by instruction or
-// tensor ID instead of per-window maps: bumping the generation invalidates
-// every stale entry in O(1).
+// (DESIGN.md §13): the prefix/DP tables, the axis solver's binding table
+// and assignment, the per-window dependency and stage indexes, the flat
+// end-time matrix of the pipeline simulation, and the rewrite's lookup
+// tables. All of it is borrowed from a sync.Pool and grown monotonically,
+// so the DP inner loop — axis inference, durations, clock simulation,
+// boundary costs — allocates nothing in steady state. Window-local lookups
+// (instruction position, produced/seen tensor marks, tensor axes) are
+// generation-stamped arrays indexed by instruction or tensor ID: bumping
+// the generation invalidates every stale entry in O(1).
 type dpScratch struct {
 	// DP tables (Run).
 	prefix []float64
@@ -30,13 +31,30 @@ type dpScratch struct {
 
 	// Window index (prepareWindow): position of each window instruction by
 	// ID, window-local dependency edges as depBuf[depOff[i]:depOff[i+1]],
-	// and the stream-run stage of each position.
+	// and the stream-run stages as position ranges [stOff[s], stOff[s+1]).
 	posOf  []int
 	posGen []uint64
 	depOff []int
 	depBuf []int
-	st     []int
+	stOff  []int
 	winGen uint64
+
+	// Axis solver (solveAxes, DESIGN.md §13): the per-instruction operator
+	// constraints flattened into one binding table — the combos of
+	// instruction ID are comboSpans[combosOf[ID]], each a range of binds,
+	// stamped with tableGen — and the assignment as a per-tensor axis array
+	// stamped with axStamp, with trail listing the bound tensors in binding
+	// order for backtracking.
+	gatePartial bool
+	binds       []binding
+	comboSpans  []span
+	combosOf    []span
+	combosGen   []uint64
+	tableGen    uint64
+	axOf        []Axis
+	axGen       []uint64
+	axStamp     uint64
+	trail       []int
 
 	// Pipeline simulation (pipelineSpan): per-position micro durations and
 	// the flat end-time matrix indexed pos*k+part.
@@ -65,6 +83,14 @@ type dpScratch struct {
 	seenT   []uint64
 	markGen uint64
 
+	// Rewrite (applyRanges): the range index covering each instruction
+	// (-1 outside every range), each tensor's first piece in the current
+	// range (stamped with markGen, like seenT) and a piece-shape buffer.
+	rangeOf []int
+	partOf  []int
+	partGen []uint64
+	shape   ir.Shape
+
 	// tmp is the scratch instruction micro-partition and reconstruct
 	// pricing hand to the cost model instead of allocating a copy per
 	// candidate.
@@ -76,9 +102,9 @@ var dpPool = sync.Pool{New: func() any { return new(dpScratch) }}
 func getScratch() *dpScratch { return dpPool.Get().(*dpScratch) }
 
 func putScratch(sc *dpScratch) {
-	// Drop references retained in the choice table (axis assignments) so a
-	// pooled scratch doesn't pin a finished graph's maps.
-	clear(sc.best)
+	// Drop the last priced instruction's operand slices so a pooled
+	// scratch doesn't pin a finished graph's slab.
+	sc.tmp = ir.Instr{}
 	dpPool.Put(sc)
 }
 
@@ -130,9 +156,9 @@ func (sc *dpScratch) windowCost(cm *cost.Model, window []*ir.Instr, k int, pr co
 }
 
 // prepareWindow builds the k-independent index of one candidate window:
-// instruction-ID→position map, window-local dependency edges (same order
-// the map-based builder produced: program order, predecessors as returned
-// by g.Preds), and the stage of each position (see stageOf).
+// instruction-ID→position map, window-local dependency edges (in program
+// order, predecessors as returned by g.Preds), and the window's stage
+// ranges (see stageStarts).
 func (sc *dpScratch) prepareWindow(g *ir.Graph, window []*ir.Instr) {
 	n := len(window)
 	sc.posOf = grow(sc.posOf, len(g.Instrs))
@@ -154,24 +180,16 @@ func (sc *dpScratch) prepareWindow(g *ir.Graph, window []*ir.Instr) {
 		}
 	}
 	sc.depOff[n] = len(sc.depBuf)
-	sc.st = grow(sc.st, n)
-	cur := 0
-	for i, in := range window {
-		if i > 0 && in.IsComm() != window[i-1].IsComm() {
-			cur++
-		}
-		sc.st[i] = cur
-	}
+	sc.stOff = stageStarts(window, sc.stOff)
 }
 
 // pipelineSpan simulates the stage pipeline of a prepared window at
 // partition count k and returns its end-to-end span — pipelineCost minus
 // the k-independent boundary cost, which Run hoists out of the k loop. The
-// issue order and arithmetic are identical to the original schedulePlan
-// walk (stages in order; within a stage, partitions; within both, program
-// order), so chosen ranges and costs are byte-identical; the plan slice,
-// position map and per-position slices it allocated are replaced by the
-// scratch arenas.
+// issue order is schedulePlan's (stages in order; within a stage,
+// partitions; within both, program order), walked over the stage ranges so
+// a (stage, partition) pair visits only its own positions; a stage runs on
+// one stream by construction.
 func (sc *dpScratch) pipelineSpan(cm *cost.Model, window []*ir.Instr, k int, pr cost.A2APricer, frac float64) float64 {
 	n := len(window)
 	sc.durs = grow(sc.durs, n)
@@ -186,22 +204,16 @@ func (sc *dpScratch) pipelineSpan(cm *cost.Model, window []*ir.Instr, k int, pr 
 	sc.end = grow(sc.end, n*k)
 	end := sc.end
 	clear(end)
-	nStages := 0
-	if n > 0 {
-		nStages = sc.st[n-1] + 1
-	}
 	var clock [2]float64
 	span := 0.0
-	for s := 0; s < nStages; s++ {
+	for s := 0; s+1 < len(sc.stOff); s++ {
+		lo, hi := sc.stOff[s], sc.stOff[s+1]
+		stream := 0
+		if window[lo].IsComm() {
+			stream = 1
+		}
 		for p := 0; p < k; p++ {
-			for pos := 0; pos < n; pos++ {
-				if sc.st[pos] != s {
-					continue
-				}
-				stream := 0
-				if window[pos].IsComm() {
-					stream = 1
-				}
+			for pos := lo; pos < hi; pos++ {
 				start := clock[stream]
 				for _, d := range sc.depBuf[sc.depOff[pos]:sc.depOff[pos+1]] {
 					if e := end[d*k+p]; e > start {
