@@ -313,7 +313,7 @@ func injectDrift(h http.Handler, n int) int64 {
 // injectWhatIf drives n /v1/plan requests carrying node-loss what_if
 // scenarios against the default configuration, alternating between two
 // lost-node sets: the first request per set pays the full scenario (base
-// plan, degraded replay, warm and cold re-plan), the rest must come back
+// plan, degraded replay and re-plan), the rest must come back
 // byte-identical from the plan store — the what-if path's cacheability
 // claim (DESIGN.md §17). Returns the count of non-200 responses.
 func injectWhatIf(h http.Handler, n int) int64 {

@@ -186,10 +186,10 @@ func main() {
 	for _, r := range results {
 		if wi := r.WhatIf; wi != nil {
 			fmt.Printf("\nwhat-if: lose nodes %v (%d of %d GPUs): degraded replay %.1f ms (%.2fx slower than intact), "+
-				"warm re-plan %.1f ms (%.2fx back), DP evals %d warm vs %d cold\n",
+				"re-plan %.1f ms (%.2fx back), %d DP evals\n",
 				wi.LostNodes, wi.LostGPUs, wi.LostGPUs+wi.SurvivorGPUs,
 				wi.DegradedMs, wi.DegradedSlowdown, wi.ReplannedMs, wi.ReplanSpeedup,
-				wi.ReplanDPEvaluations, wi.ColdDPEvaluations)
+				wi.ReplanDPEvaluations)
 		}
 	}
 }

@@ -10,12 +10,12 @@ import (
 func init() {
 	Register(Experiment{
 		Name: "node_loss", Order: 139,
-		Desc: "degraded replay vs warm-started re-plan after losing fleet nodes",
+		Desc: "degraded replay vs fresh re-plan after losing fleet nodes",
 		Run:  NodeLoss,
 	})
 	Register(Experiment{
 		Name: "elastic_resize", Order: 140,
-		Desc: "re-plan cost curve across an elastic fleet resize with chained warm starts",
+		Desc: "re-plan latency and DP cost across an elastic fleet resize",
 		Run:  ElasticResize,
 	})
 	Register(Experiment{
@@ -44,14 +44,12 @@ func (c lossCase) workload() string {
 
 // NodeLoss is the failure headline of the scenario planners (DESIGN.md §17):
 // each row drops nodes from a planned fleet and compares replaying the stale
-// plan's pipelines verbatim on the survivors against a re-plan warm-started
-// from those same pipelines. The survivors' per-GPU batch is scaled up so
-// they carry at least the intact fleet's token budget, so degraded rows are
-// never optimistically fast. The DP-evaluations column is the re-plan cost
-// the stale plan's hint cuts relative to planning the degraded fleet cold —
-// the argument for keeping stale plans around as warm starts (DESIGN.md
-// §14). Skewed workloads are the interesting regime: with a hot expert or a
-// Zipf tail, the stale plan's group cuts no longer match the survivors'
+// plan's pipelines verbatim on the survivors against a fresh plan for the
+// survivors. The survivors' per-GPU batch is scaled up so they carry at
+// least the intact fleet's token budget, so degraded rows are never
+// optimistically fast. The DP-evaluations column is what the re-plan costs.
+// Skewed workloads are the interesting regime: with a hot expert or a Zipf
+// tail, the stale plan's group cuts no longer match the survivors'
 // all-to-all shape and re-planning wins back real milliseconds.
 func NodeLoss(p Params) (*Table, error) {
 	cases := []lossCase{
@@ -66,14 +64,14 @@ func NodeLoss(p Params) (*Table, error) {
 	}
 	t := &Table{
 		ID:    "node_loss",
-		Title: "Node loss: degraded replay vs warm-started re-plan (GPT2-S-MoE, Switch gate)",
+		Title: "Node loss: degraded replay vs re-plan (GPT2-S-MoE, Switch gate)",
 		Note: "Each row loses the listed nodes from a planned fleet. Degraded replays the " +
 			"stale plan's pipelines verbatim on the survivors (batch scaled to preserve the " +
-			"global token budget); re-planned runs the partition DP warm-started from the " +
-			"stale pipelines. Latencies are means of 3 seeded iterations. DP evals compares " +
-			"the warm-started re-plan against planning the degraded fleet cold.",
+			"global token budget); re-planned runs the partition DP from scratch on the " +
+			"survivors. Latencies are means of 3 seeded iterations. DP evals is the re-plan's " +
+			"partition-DP evaluation count.",
 		Header: []string{"Fleet", "Lost", "Intact (ms)", "Degraded (ms)", "Re-planned (ms)",
-			"DP evals (warm/cold)", "Re-plan speedup"},
+			"DP evals", "Re-plan speedup"},
 	}
 	for _, c := range cases {
 		cluster, err := lancet.NewCluster(c.gpuType, c.gpus)
@@ -99,18 +97,16 @@ func NodeLoss(p Params) (*Table, error) {
 			fmt.Sprintf("%.1f", rep.IntactMs),
 			fmt.Sprintf("%.1f", rep.DegradedMs),
 			fmt.Sprintf("%.1f", rep.ReplannedMs),
-			fmt.Sprintf("%d/%d", rep.ReplanEvaluations, rep.ColdEvaluations),
+			fmt.Sprint(rep.ReplanEvaluations),
 			fmt.Sprintf("%.3fx", rep.ReplanSpeedup))
 	}
 	return t, nil
 }
 
-// ElasticResize walks a fleet through a grow-and-shrink schedule, re-planning
-// at each size warm-started from the previous size's chosen pipelines — the
-// chain /v1/sweep's warm_start mode runs (DESIGN.md §14, §17). The plans are
-// byte-identical to cold ones (the warm-start invariant); the saved column is
-// the fraction of partition-DP evaluations the chained hint eliminates, i.e.
-// the re-plan cost curve an elastic scheduler actually pays.
+// ElasticResize walks a fleet through a grow-and-shrink schedule, planning
+// each size once (DESIGN.md §17): the per-size iteration time and the
+// partition-DP evaluation count are the re-plan cost curve an elastic
+// scheduler actually pays.
 func ElasticResize(p Params) (*Table, error) {
 	schedule := []int{16, 32, 64, 32, 16}
 	if p.Quick {
@@ -122,23 +118,16 @@ func ElasticResize(p Params) (*Table, error) {
 	}
 	t := &Table{
 		ID:    "elastic_resize",
-		Title: "Elastic resize: warm-started re-plan cost across a fleet schedule (V100, GPT2-S-MoE)",
-		Note: "The fleet grows and shrinks through the schedule; each size re-plans " +
-			"warm-started from the previous size's pipelines. Warm plans are byte-identical " +
-			"to cold ones; the saved column is the DP work the chained hint eliminates. " +
+		Title: "Elastic resize: re-plan cost across a fleet schedule (V100, GPT2-S-MoE)",
+		Note: "The fleet grows and shrinks through the schedule; each size is planned " +
+			"from scratch. DP evals is that plan's partition-DP evaluation count. " +
 			"Latencies are means of 3 seeded iterations.",
-		Header: []string{"Step", "GPUs", "Iteration (ms)", "DP evals (warm/cold)", "Saved"},
+		Header: []string{"Step", "GPUs", "Iteration (ms)", "DP evals"},
 	}
 	for i, st := range steps {
-		saved := "-"
-		if i > 0 && st.ColdEvaluations > 0 {
-			saved = fmt.Sprintf("%.0f%%",
-				100*(1-float64(st.WarmEvaluations)/float64(st.ColdEvaluations)))
-		}
 		t.AddRow(fmt.Sprint(i+1), fmt.Sprint(st.GPUs),
 			fmt.Sprintf("%.1f", st.IterationMs),
-			fmt.Sprintf("%d/%d", st.WarmEvaluations, st.ColdEvaluations),
-			saved)
+			fmt.Sprint(st.DPEvaluations))
 	}
 	return t, nil
 }

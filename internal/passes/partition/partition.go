@@ -43,19 +43,6 @@ type Options struct {
 	// optimizes the quantity the simulation will charge. 0 means 1 (full
 	// padded payload).
 	PayloadFraction float64
-	// Hint seeds the DP with a neighboring configuration's chosen
-	// pipelines (only Start, End and K are consulted — DESIGN.md §14). For
-	// each candidate window the DP probes the hinted partition count's
-	// immediate neighborhood first; a strict local minimum at the hinted k
-	// certifies the full sweep's argmin under the unimodality of the
-	// span-vs-k curve, so the remaining k values are never evaluated. When
-	// the hint loses its probe the window falls back to the full k sweep,
-	// and the per-window cost memo keeps probed candidates from being
-	// priced twice — a fallback window costs exactly as many evaluations
-	// as a cold one. A stale or mismatched hint therefore only costs its
-	// probes; chosen ranges and costs stay byte-identical to a hint-free
-	// run (pinned by the warm-start property tests).
-	Hint []Range
 }
 
 func (o *Options) fillDefaults() {
@@ -124,7 +111,6 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 	sc := getScratch()
 	defer putScratch(sc)
 	sc.beginDurMemo(len(g.Instrs), opts.MaxPartitions)
-	sc.beginWindowCosts(opts.MaxPartitions)
 	sc.beginAxes(g, opts.GatePartialBatch)
 
 	// The forward pass is the program prefix; everything after is
@@ -185,24 +171,9 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 			// sum pipelineCost computed per candidate).
 			boundary := boundaryCostUs(g, cm, window, sc)
 			sc.prepareWindow(g, window)
-			if hk := hintKFor(opts.Hint, bounds[i], bounds[j]-1); hk >= 2 && hk <= kmax {
-				if p, ok := probeHint(sc, cm, window, hk, kmax, pr, opts.PayloadFraction, boundary, res); ok {
-					// The hinted k strictly beat its probed neighborhood:
-					// under the unimodality invariant it is the full sweep's
-					// argmin for this window, so applying it alone leaves
-					// T[j]/best[j] exactly where the full sweep would.
-					if t := T[i] + p; t < T[j] {
-						T[j] = t
-						best[j] = choice{from: i, k: hk, pUs: p, sUs: serial}
-					}
-					continue
-				}
-			}
 			for k := 2; k <= kmax; k++ {
-				p, fresh := sc.windowCost(cm, window, k, pr, opts.PayloadFraction, boundary)
-				if fresh {
-					res.Evaluations++
-				}
+				p := sc.pipelineSpan(cm, window, k, pr, opts.PayloadFraction) + boundary
+				res.Evaluations++
 				if t := T[i] + p; t < T[j] {
 					T[j] = t
 					best[j] = choice{from: i, k: k, pUs: p, sUs: serial}
@@ -257,61 +228,6 @@ func makeGroups(prefix []float64, groupUs float64, buf []int) []int {
 	}
 	bounds = append(bounds, fwdEnd)
 	return bounds
-}
-
-// hintKFor returns the partition count of the hint range overlapping the
-// instruction window [lo, hi] (inclusive, input-graph program order) the
-// most, or 0 when no hint range overlaps it. Ties keep the earliest hint
-// range, matching program order.
-func hintKFor(hint []Range, lo, hi int) int {
-	bestK, bestOv := 0, 0
-	for _, h := range hint {
-		l, r := h.Start, h.End
-		if l < lo {
-			l = lo
-		}
-		if r > hi {
-			r = hi
-		}
-		if ov := r - l + 1; ov > bestOv {
-			bestOv, bestK = ov, h.K
-		}
-	}
-	return bestK
-}
-
-// probeHint evaluates the hinted partition count hk and its immediate
-// neighbors on the prepared window. ok reports the warm-start certificate:
-// hk strictly beats every probed neighbor (at the k-range boundary, its
-// single neighbor), in which case p is the window's minimal pipelined cost
-// under the unimodality invariant of the span-vs-k curve. Probed costs land
-// in the per-window memo, so a failed certificate hands its work to the
-// full-sweep fallback instead of discarding it.
-func probeHint(sc *dpScratch, cm *cost.Model, window []*ir.Instr, hk, kmax int, pr cost.A2APricer, frac, boundary float64, res *Result) (p float64, ok bool) {
-	lo, hi := hk-1, hk+1
-	if lo < 2 {
-		lo = 2
-	}
-	if hi > kmax {
-		hi = kmax
-	}
-	p, fresh := sc.windowCost(cm, window, hk, pr, frac, boundary)
-	if fresh {
-		res.Evaluations++
-	}
-	for k := lo; k <= hi; k++ {
-		if k == hk {
-			continue
-		}
-		pk, fresh := sc.windowCost(cm, window, k, pr, frac, boundary)
-		if fresh {
-			res.Evaluations++
-		}
-		if pk <= p {
-			return 0, false
-		}
-	}
-	return p, true
 }
 
 func windowHasA2A(window []*ir.Instr) bool {

@@ -27,7 +27,6 @@ func Replay(g *ir.Graph, cm *cost.Model, opts Options, fixed []Range) (*Result, 
 	sc := getScratch()
 	defer putScratch(sc)
 	sc.beginDurMemo(len(g.Instrs), opts.MaxPartitions)
-	sc.beginWindowCosts(opts.MaxPartitions)
 	sc.beginAxes(g, opts.GatePartialBatch)
 
 	fwdEnd := len(g.Instrs)
@@ -76,10 +75,8 @@ func Replay(g *ir.Graph, cm *cost.Model, opts Options, fixed []Range) (*Result, 
 		}
 		boundary := boundaryCostUs(g, cm, window, sc)
 		sc.prepareWindow(g, window)
-		p, fresh := sc.windowCost(cm, window, k, pr, opts.PayloadFraction, boundary)
-		if fresh {
-			res.Evaluations++
-		}
+		p := sc.pipelineSpan(cm, window, k, pr, opts.PayloadFraction) + boundary
+		res.Evaluations++
 		serial := prefix[r.End+1] - prefix[r.Start]
 		res.ForwardUs += p - serial
 		res.Ranges = append(res.Ranges, Range{

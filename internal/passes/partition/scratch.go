@@ -71,12 +71,6 @@ type dpScratch struct {
 	durStride  int
 	durGen     uint64
 
-	// Per-window (k → pipelined cost) memo, stamped with winGen: the
-	// warm-start probe and the full-sweep fallback share evaluations of the
-	// same candidate, so a window never prices one k twice (DESIGN.md §14).
-	kCost    []float64
-	kCostGen []uint64
-
 	// Boundary-cost marks (boundaryCostUs), stamped with markGen.
 	insideI []uint64
 	prodT   []uint64
@@ -130,29 +124,6 @@ func (sc *dpScratch) beginDurMemo(nInstrs, kmax int) {
 	sc.durMemo = grow(sc.durMemo, n)
 	sc.durMemoGen = grow(sc.durMemoGen, n)
 	sc.durGen++
-}
-
-// beginWindowCosts sizes the per-window (k → cost) memo for partition
-// counts up to kmax. Entries are invalidated per window by the winGen bump
-// in prepareWindow.
-func (sc *dpScratch) beginWindowCosts(kmax int) {
-	sc.kCost = grow(sc.kCost, kmax+1)
-	sc.kCostGen = grow(sc.kCostGen, kmax+1)
-}
-
-// windowCost prices the prepared window partitioned k ways (pipelineSpan
-// plus the hoisted k-independent boundary cost) through the per-window
-// memo. fresh reports whether a pipelineSpan evaluation actually ran — the
-// quantity Run's Evaluations counter tracks — so the warm-start probe and
-// the full-sweep fallback never price or count the same candidate twice.
-func (sc *dpScratch) windowCost(cm *cost.Model, window []*ir.Instr, k int, pr cost.A2APricer, frac, boundary float64) (p float64, fresh bool) {
-	if sc.kCostGen[k] == sc.winGen {
-		return sc.kCost[k], false
-	}
-	p = sc.pipelineSpan(cm, window, k, pr, frac) + boundary
-	sc.kCost[k] = p
-	sc.kCostGen[k] = sc.winGen
-	return p, true
 }
 
 // prepareWindow builds the k-independent index of one candidate window:

@@ -28,11 +28,10 @@ type Result struct {
 	OverlapMs           float64 `json:"overlap_ms,omitempty"`
 	AllToAllMs          float64 `json:"a2a_ms,omitempty"`
 	Notes               string  `json:"notes,omitempty"`
-	// Pipelines records a Lancet plan's chosen partition pipelines — the
-	// neighbor warm-start hint sweep chaining seeds the adjacent grid
-	// point's DP from (DESIGN.md §14). Deterministic in the inputs like
-	// every other field, and serialized into disk artifacts, so chaining
-	// works across cache hits and process restarts alike.
+	// Pipelines records a Lancet plan's chosen partition pipelines
+	// (instruction range and partition count each): the plan shape a
+	// client can compare across configurations. Deterministic in the
+	// inputs like every other field.
 	Pipelines []lancet.PipelineHint `json:"pipelines,omitempty"`
 
 	// WhatIf carries the node-loss scenario answer when the request asked
@@ -41,11 +40,11 @@ type Result struct {
 	// responses stay byte-identical.
 	WhatIf *WhatIfResult `json:"what_if,omitempty"`
 
-	// evaluations counts the plan's partition-DP evaluations. Unexported
-	// and deliberately absent from the JSON encoding: a warm-started
-	// computation spends fewer evaluations than a cold one, and responses
-	// must stay byte-identical either way. The service folds it into the
-	// /v1/stats dp_evaluations counter at compute time instead.
+	// evaluations counts the partition-DP evaluations the computation
+	// spent (plan plus what-if re-plan). It is optimization effort, not
+	// part of the answer, so it stays out of the JSON encoding; the
+	// service folds it into the /v1/stats dp_evaluations counter at
+	// compute time instead.
 	evaluations int
 }
 
@@ -60,10 +59,8 @@ type WhatIfResult struct {
 	ReplannedMs      float64 `json:"replanned_ms"`
 	DegradedSlowdown float64 `json:"degraded_slowdown"`
 	ReplanSpeedup    float64 `json:"replan_speedup"`
-	// ReplanDPEvaluations and ColdDPEvaluations are the warm-started and
-	// cold re-plan's partition-DP costs — what the stale plan's hint buys.
+	// ReplanDPEvaluations is the re-plan's partition-DP cost.
 	ReplanDPEvaluations int `json:"replan_dp_evaluations"`
-	ColdDPEvaluations   int `json:"cold_dp_evaluations"`
 }
 
 // Compute plans framework fw on the session and simulates one iteration
@@ -135,9 +132,8 @@ func Compute(sess *lancet.Session, fw string, seed int64, opts lancet.Options) (
 			DegradedSlowdown:    rep.DegradedSlowdown,
 			ReplanSpeedup:       rep.ReplanSpeedup,
 			ReplanDPEvaluations: rep.ReplanEvaluations,
-			ColdDPEvaluations:   rep.ColdEvaluations,
 		}
-		res.evaluations += rep.ReplanEvaluations + rep.ColdEvaluations
+		res.evaluations += rep.ReplanEvaluations
 	}
 	return res, nil
 }

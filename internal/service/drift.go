@@ -32,8 +32,8 @@ const replanBacklog = 16
 
 // RoutingUpdate is the body of POST /v1/routing (DESIGN.md §16): one
 // streamed gate-count observation for a training session. Plan names the
-// configuration being trained; it must not set routing or skew — the
-// streamed counts are the workload. Counts is the devices x devices
+// configuration being trained; it must not set routing — the streamed
+// counts are the workload. Counts is the devices x devices
 // gate-count matrix of the observed window: Counts[i][j] tokens entered on
 // device i and were routed to an expert on device j.
 type RoutingUpdate struct {
@@ -71,15 +71,13 @@ type RoutingResponse struct {
 
 // planSnapshot is one immutable published plan: the pre-marshaled result
 // served verbatim until the next swap, the traffic profile it was priced
-// against, the session update count when it was built (plan age's zero
-// point), and its chosen pipelines (the next re-plan's DP warm start).
-// Swapped whole through driftSession.plan, so readers never observe a
-// torn plan.
+// against, and the session update count when it was built (plan age's
+// zero point). Swapped whole through driftSession.plan, so readers never
+// observe a torn plan.
 type planSnapshot struct {
 	result  json.RawMessage
 	profile *netsim.RoutingProfile
 	builtAt int64
-	hint    []lancet.PipelineHint
 }
 
 // driftSession is one training session's drift loop (DESIGN.md §16),
@@ -181,11 +179,10 @@ func (s *Service) driftSessionFor(c *canonical) (*driftSession, error) {
 // newer snapshot already landed. It serves through the shared two-tier
 // plan store and singleflight (resultForWith), so re-plans are written
 // through to disk, restored on restart, and oscillating traffic that
-// returns to a planned shape hits the store instead of recomputing. hint
-// warm-starts the partition DP from the outgoing plan.
-func (s *Service) replanOnce(d *driftSession, cur *netsim.RoutingProfile, builtAt int64, hint []lancet.PipelineHint) (*planSnapshot, error) {
+// returns to a planned shape hits the store instead of recomputing.
+func (s *Service) replanOnce(d *driftSession, cur *netsim.RoutingProfile, builtAt int64) (*planSnapshot, error) {
 	cc := d.c.withProfile(cur)
-	res, _, err := s.resultForWith(cc, cc.framework, hint, func() (*lancet.Session, error) {
+	res, _, err := s.resultForWith(cc, cc.framework, func() (*lancet.Session, error) {
 		return d.session(cur)
 	})
 	if err != nil {
@@ -195,7 +192,7 @@ func (s *Service) replanOnce(d *driftSession, cur *netsim.RoutingProfile, builtA
 	if err != nil {
 		return nil, err
 	}
-	snap := &planSnapshot{result: payload, profile: cur, builtAt: builtAt, hint: res.Pipelines}
+	snap := &planSnapshot{result: payload, profile: cur, builtAt: builtAt}
 	for {
 		old := d.plan.Load()
 		if old != nil && old.builtAt >= builtAt {
@@ -270,14 +267,9 @@ func (s *Service) handleRouting(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	if u.Plan.Routing != nil || u.Plan.Skew != 0 {
-		if u.Plan.Skew != 0 {
-			// The deprecated shorthand earns its sunset headers on every
-			// endpoint that sees it, rejections included.
-			setDeprecationHeaders(w, []string{"skew"})
-		}
+	if u.Plan.Routing != nil {
 		writeError(w, http.StatusBadRequest,
-			codedf(CodeConflictingFields, "a drift plan's workload is the streamed counts; don't set routing or skew"))
+			codedf(CodeConflictingFields, "a drift plan's workload is the streamed counts; don't set routing"))
 		return
 	}
 	if u.Plan.WhatIf != nil {
@@ -327,7 +319,7 @@ func (s *Service) handleRouting(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if snap = d.plan.Load(); snap == nil {
-			snap, err = s.replanOnce(d, cur, updates, nil)
+			snap, err = s.replanOnce(d, cur, updates)
 			d.replanning.Store(false)
 			if err != nil {
 				writeError(w, http.StatusInternalServerError, err)
@@ -348,13 +340,12 @@ func (s *Service) handleRouting(w http.ResponseWriter, r *http.Request) {
 	if info.Detected {
 		s.driftDetected.Add(1)
 		if d.replanning.CompareAndSwap(false, true) {
-			builtAt, hint := updates, snap.hint
 			accepted := s.replanQueue().TrySubmit(func() {
 				defer d.replanning.Store(false)
 				if gate := s.replanGate; gate != nil {
 					gate()
 				}
-				if _, err := s.replanOnce(d, cur, builtAt, hint); err != nil {
+				if _, err := s.replanOnce(d, cur, updates); err != nil {
 					s.replanErrs.Add(1)
 					return
 				}

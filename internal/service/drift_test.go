@@ -100,7 +100,7 @@ func TestRoutingRejectsBadUpdates(t *testing.T) {
 		{"plan with routing", `{"plan": {"routing": {"kind": "zipf", "alpha": 1}}, "counts": [[1]]}`,
 			"streamed counts", CodeConflictingFields, 400},
 		{"plan with skew", `{"plan": {"skew": 1.2}, "counts": [[1]]}`,
-			"streamed counts", CodeConflictingFields, 400},
+			`unknown field "skew"`, CodeBadRequest, 400},
 		{"unknown model", `{"plan": {"model": "gpt3"}, "counts": [[1]]}`,
 			"unknown model", CodeUnknownModel, 400},
 		{"wrong dimensions", small, "16 x 16", CodeBadRouting, 400},
@@ -464,8 +464,11 @@ func TestVersionEndpoint(t *testing.T) {
 	if err := json.NewDecoder(w.Body).Decode(&v); err != nil {
 		t.Fatal(err)
 	}
-	if v.APIRevision != APIRevision {
-		t.Errorf("api_revision = %d, want %d", v.APIRevision, APIRevision)
+	// Revision 3 retired the flat error string, the skew shorthand and the
+	// sweep warm start;
+	// a further incompatible change must bump this deliberately.
+	if v.APIRevision != 3 || APIRevision != 3 {
+		t.Errorf("api_revision = %d (const %d), want 3", v.APIRevision, APIRevision)
 	}
 	if v.ArtifactCodecVersion != artifactVersion {
 		t.Errorf("artifact_codec_version = %d, want %d", v.ArtifactCodecVersion, artifactVersion)
@@ -480,29 +483,24 @@ func TestVersionEndpoint(t *testing.T) {
 	}
 }
 
-// TestDeprecationHeaders pins the skew shorthand's deprecation surface:
-// responses to skew-bearing requests carry the headers, the echo
-// canonicalizes to the routing spelling, and modern requests stay clean.
+// TestDeprecationHeaders pins the retirement of the skew shorthand at API
+// revision 3: a skew-bearing request is a typed 400 naming the field, no
+// response carries deprecation headers any more, and the routing spelling
+// serves and echoes as before.
 func TestDeprecationHeaders(t *testing.T) {
 	h := New(Config{}).Handler()
 
-	legacy := postPlan(t, h, `{"framework": "raf", "baseline": "none", "skew": 1.5}`)
-	if legacy.Code != http.StatusOK {
-		t.Fatalf("status = %d, body %s", legacy.Code, legacy.Body)
+	retired := postPlan(t, h, `{"framework": "raf", "baseline": "none", "skew": 1.5}`)
+	if retired.Code != http.StatusBadRequest {
+		t.Fatalf("skew shorthand status = %d, want 400 (body %s)", retired.Code, retired.Body)
 	}
-	if got := legacy.Header().Get("Deprecation"); got != "true" {
-		t.Errorf("Deprecation = %q, want true", got)
+	for _, hdr := range []string{"Deprecation", "X-Lancet-Deprecated-Field"} {
+		if got := retired.Header().Get(hdr); got != "" {
+			t.Errorf("rejected skew request got %s = %q, want unset", hdr, got)
+		}
 	}
-	if got := legacy.Header().Get("X-Lancet-Deprecated-Field"); got != "skew" {
-		t.Errorf("X-Lancet-Deprecated-Field = %q, want skew", got)
-	}
-	var resp PlanResponse
-	if err := json.NewDecoder(legacy.Body).Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Request.Skew != 0 || resp.Request.Routing == nil ||
-		resp.Request.Routing.Kind != RoutingZipf || resp.Request.Routing.Alpha != 1.5 {
-		t.Errorf("echo did not normalize skew to routing: %+v", resp.Request)
+	if e := decodeEnvelope(t, retired); e.Err.Code != CodeBadRequest || !strings.Contains(e.Err.Message, `"skew"`) {
+		t.Errorf("skew rejection = %+v, want bad_request naming the field", e.Err)
 	}
 
 	modern := postPlan(t, h, `{"framework": "raf", "baseline": "none", "routing": {"kind": "zipf", "alpha": 1.5}}`)
@@ -510,18 +508,14 @@ func TestDeprecationHeaders(t *testing.T) {
 		t.Fatalf("status = %d, body %s", modern.Code, modern.Body)
 	}
 	if got := modern.Header().Get("Deprecation"); got != "" {
-		t.Errorf("modern spelling got Deprecation = %q, want unset", got)
+		t.Errorf("routing spelling got Deprecation = %q, want unset", got)
 	}
-
-	sweep := httptest.NewRequest(http.MethodPost, "/v1/sweep",
-		strings.NewReader(`{"frameworks": ["raf"], "skew": 1.5}`))
-	sw := httptest.NewRecorder()
-	h.ServeHTTP(sw, sweep)
-	if sw.Code != http.StatusOK {
-		t.Fatalf("sweep status = %d, body %s", sw.Code, sw.Body)
+	var resp PlanResponse
+	if err := json.NewDecoder(modern.Body).Decode(&resp); err != nil {
+		t.Fatal(err)
 	}
-	if got := sw.Header().Get("Deprecation"); got != "true" {
-		t.Errorf("sweep Deprecation = %q, want true", got)
+	if r := resp.Request.Routing; r == nil || r.Kind != RoutingZipf || r.Alpha != 1.5 {
+		t.Errorf("echo lost the routing spec: %+v", resp.Request.Routing)
 	}
 }
 

@@ -44,9 +44,8 @@ func TestPlanWhatIfHappyPath(t *testing.T) {
 	if wi.DegradedSlowdown < 1 {
 		t.Errorf("DegradedSlowdown = %.3f < 1: degraded replay faster than intact", wi.DegradedSlowdown)
 	}
-	if wi.ReplanDPEvaluations > wi.ColdDPEvaluations {
-		t.Errorf("warm re-plan spent %d DP evaluations, cold only %d",
-			wi.ReplanDPEvaluations, wi.ColdDPEvaluations)
+	if wi.ReplanDPEvaluations <= 0 {
+		t.Errorf("re-plan reports %d DP evaluations, want a positive count", wi.ReplanDPEvaluations)
 	}
 	if resp.Request.WhatIf == nil || len(resp.Request.WhatIf.LostNodes) != 1 {
 		t.Errorf("echo lost the what_if spec: %+v", resp.Request.WhatIf)
@@ -180,39 +179,36 @@ func TestRoutingRejectsOverflowAndWhatIf(t *testing.T) {
 	}
 }
 
-// TestDeprecationHeadersAcrossEndpoints pins that every endpoint accepting
-// the legacy skew shorthand emits the same sunset headers: /v1/plan,
-// /v1/sweep (buffered and warm-started), and /v1/routing — where the
-// shorthand is additionally a conflict, but the 400 still carries the
-// headers so clients learn both facts at once.
+// TestDeprecationHeadersAcrossEndpoints pins the revision 3 retirements on
+// every endpoint: the skew shorthand on /v1/plan, /v1/sweep and a
+// /v1/routing plan, and /v1/sweep's warm_start, are each a typed 400 that
+// names the field, with no deprecation headers; the routing spelling is
+// served header-free everywhere.
 func TestDeprecationHeadersAcrossEndpoints(t *testing.T) {
 	h := New(Config{}).Handler()
-	cases := []struct {
-		name, path, body string
-		wantStatus       int
-	}{
-		{"plan", "/v1/plan", `{"framework": "raf", "baseline": "none", "skew": 1.5}`, 200},
-		{"sweep", "/v1/sweep", `{"frameworks": ["raf"], "skew": 1.5}`, 200},
-		{"warm-started sweep", "/v1/sweep", `{"frameworks": ["lancet"], "skew": 1.5, "warm_start": true}`, 200},
-		{"routing", "/v1/routing", `{"plan": {"framework": "raf", "baseline": "none", "skew": 1.5}, "counts": [[1]]}`, 400},
+	cases := []struct{ name, path, body, field string }{
+		{"plan", "/v1/plan", `{"framework": "raf", "baseline": "none", "skew": 1.5}`, "skew"},
+		{"sweep", "/v1/sweep", `{"frameworks": ["raf"], "skew": 1.5}`, "skew"},
+		{"warm-started sweep", "/v1/sweep", `{"frameworks": ["lancet"], "warm_start": true}`, "warm_start"},
+		{"routing", "/v1/routing", `{"plan": {"framework": "raf", "baseline": "none", "skew": 1.5}, "counts": [[1]]}`, "skew"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			req := httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body))
 			w := httptest.NewRecorder()
 			h.ServeHTTP(w, req)
-			if w.Code != tc.wantStatus {
-				t.Fatalf("status = %d, want %d (body %s)", w.Code, tc.wantStatus, w.Body)
+			if w.Code != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400 (body %s)", w.Code, w.Body)
 			}
-			if got := w.Header().Get("Deprecation"); got != "true" {
-				t.Errorf("Deprecation = %q, want true", got)
+			if got := w.Header().Get("Deprecation"); got != "" {
+				t.Errorf("Deprecation = %q, want unset", got)
 			}
-			if got := w.Header().Get("X-Lancet-Deprecated-Field"); got != "skew" {
-				t.Errorf("X-Lancet-Deprecated-Field = %q, want skew", got)
+			e := decodeEnvelope(t, w)
+			if e.Err.Code != CodeBadRequest || !strings.Contains(e.Err.Message, `unknown field "`+tc.field+`"`) {
+				t.Errorf("error = %+v, want bad_request for unknown field %q", e.Err, tc.field)
 			}
 		})
 	}
-	// The modern spellings stay header-free on all three endpoints.
 	modern := []struct{ name, path, body string }{
 		{"plan", "/v1/plan", `{"framework": "raf", "baseline": "none", "routing": {"kind": "zipf", "alpha": 1.5}}`},
 		{"sweep", "/v1/sweep", `{"frameworks": ["raf"], "routing": {"kind": "zipf", "alpha": 1.5}}`},

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync/atomic"
 
 	"lancet"
@@ -76,8 +75,7 @@ type Service struct {
 	computations atomic.Int64
 
 	// dpEvals accumulates the partition-DP evaluation counts of every
-	// computation — the optimization effort warm-started sweeps measurably
-	// reduce. Kept out of Result so cached and fresh responses stay
+	// computation. Kept out of Result so cached and fresh responses stay
 	// byte-identical.
 	dpEvals atomic.Int64
 
@@ -204,14 +202,14 @@ func (s *Service) session(c *canonical) (*lancet.Session, error) {
 // resultFor serves one framework's result through the two-tier plan store:
 // memory LRU hit, disk-artifact hit (promoted into the LRU), singleflight
 // share, or a fresh computation written through to both tiers. The
-// returned cache state is "hit", "disk", "shared" or "miss". hint, when
-// non-nil, warm-starts the partition DP (DESIGN.md §14); it is absent from
-// the plan key because it never changes the computed result. Panics while
+// returned cache state is "hit", "disk", "shared" or "miss". The plan key
+// is a function of the canonical request alone, so the stored result is
+// exactly what a fresh computation of that request returns. Panics while
 // planning are contained and returned as errors, so a bad grid point
 // cannot take down sweep workers (plain goroutines with no net/http
 // recovery) or the whole server.
-func (s *Service) resultFor(c *canonical, fw string, hint []lancet.PipelineHint) (*Result, string, error) {
-	return s.resultForWith(c, fw, hint, func() (*lancet.Session, error) { return s.session(c) })
+func (s *Service) resultFor(c *canonical, fw string) (*Result, string, error) {
+	return s.resultForWith(c, fw, func() (*lancet.Session, error) { return s.session(c) })
 }
 
 // resultForWith is resultFor with an explicit session provider: the drift
@@ -219,7 +217,7 @@ func (s *Service) resultFor(c *canonical, fw string, hint []lancet.PipelineHint)
 // (write-through, restart-restorable), but against a dedicated session
 // whose workload is a streamed profile rather than a pooled parametric one
 // (DESIGN.md §16). sessionFn runs only on a full store miss.
-func (s *Service) resultForWith(c *canonical, fw string, hint []lancet.PipelineHint, sessionFn func() (*lancet.Session, error)) (r *Result, state string, err error) {
+func (s *Service) resultForWith(c *canonical, fw string, sessionFn func() (*lancet.Session, error)) (r *Result, state string, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			r, state, err = nil, "error", fmt.Errorf("panic while planning %s: %v", fw, p)
@@ -262,7 +260,6 @@ func (s *Service) resultForWith(c *canonical, fw string, hint []lancet.PipelineH
 		}
 		s.computations.Add(1)
 		opts := c.opts.toLancet()
-		opts.Hint = hint
 		opts.LostNodes = c.lostNodes
 		res, err := Compute(sess, fw, c.seed, opts)
 		if err != nil {
@@ -350,10 +347,10 @@ func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if c.baseline != "" {
 		go func() {
 			defer close(baseDone)
-			base, _, baseErr = s.resultFor(c, c.baseline, nil)
+			base, _, baseErr = s.resultFor(c, c.baseline)
 		}()
 	}
-	res, state, err := s.resultFor(c, c.framework, nil)
+	res, state, err := s.resultFor(c, c.framework)
 	if c.baseline != "" {
 		<-baseDone
 	}
@@ -374,20 +371,7 @@ func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
 	// The cache verdict travels in a header so identical requests get
 	// byte-identical bodies whether served fresh, shared or from the store.
 	w.Header().Set("X-Lancet-Cache", state)
-	setDeprecationHeaders(w, c.deprecated)
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// setDeprecationHeaders marks a response to a request that used deprecated
-// fields (currently only the legacy skew shorthand): RFC 8594-style
-// Deprecation plus the offending field list, so clients can find their
-// outdated spellings without diffing echoes.
-func setDeprecationHeaders(w http.ResponseWriter, fields []string) {
-	if len(fields) == 0 {
-		return
-	}
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("X-Lancet-Deprecated-Field", strings.Join(fields, ", "))
 }
 
 // SweepRequest is the body of POST /v1/sweep: a grid of configurations,
@@ -407,7 +391,6 @@ type SweepRequest struct {
 
 	Batch        int           `json:"batch,omitempty"`
 	Seed         *int64        `json:"seed,omitempty"`
-	Skew         float64       `json:"skew,omitempty"`
 	Routing      *RoutingSpec  `json:"routing,omitempty"`
 	Topology     *TopologySpec `json:"topology,omitempty"`
 	SharedExpert bool          `json:"shared_expert,omitempty"`
@@ -419,12 +402,6 @@ type SweepRequest struct {
 	// completes (completion order; index is the deterministic grid
 	// position), and the buffered-mode grid cap does not apply.
 	Stream bool `json:"stream,omitempty"`
-	// WarmStart chains the grid points that share a model and fleet into
-	// sequential runs where each point seeds the partition DP from its
-	// neighbor's chosen plan (DESIGN.md §14). Chains run in parallel with
-	// each other; results are byte-identical to a cold sweep, only the DP
-	// evaluation count (and therefore cold-point latency) drops.
-	WarmStart bool `json:"warm_start,omitempty"`
 }
 
 // SweepItem is one grid point's outcome. Err carries per-point failures
@@ -494,9 +471,6 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 			codedf(CodeGridTooLarge, "sweep grid has %d points, streaming limit %d", points, maxStreamSweepPoints))
 		return
 	}
-	if req.Skew > 0 && req.Routing == nil {
-		setDeprecationHeaders(w, []string{"skew"})
-	}
 
 	// Expand the cross product in deterministic order.
 	var grid []PlanRequest
@@ -509,7 +483,7 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 							Model: m, Cluster: cl, GPUs: g, Gate: gate,
 							Classes:   req.Classes,
 							Framework: fw, Baseline: BaselineNone,
-							Batch: req.Batch, Seed: req.Seed, Skew: req.Skew,
+							Batch: req.Batch, Seed: req.Seed,
 							Routing: req.Routing, Topology: req.Topology,
 							SharedExpert: req.SharedExpert, ZeRO3: req.ZeRO3,
 							Options: req.Options,
@@ -520,64 +494,44 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Warm-start chains group the grid points that share the two outer
-	// dimensions (model and fleet) into one sequential run each, so every
-	// point's partition DP is seeded by its neighbor's chosen plan; the
-	// inner dimensions (GPU count, gate, framework) are where adjacent
-	// configurations plan similarly enough for hints to win. Without
-	// warm-start every point is its own chain — the old fully parallel
-	// fan-out.
-	chainLen := 1
-	if req.WarmStart {
-		chainLen = len(gpuCounts) * len(gates) * len(frameworks)
-	}
-
 	if req.Stream {
-		s.streamSweep(w, r, grid, chainLen)
+		s.streamSweep(w, r, grid)
 		return
 	}
 
-	// Fan the chains out over the shared worker-pool fan-out (the suite
+	// Fan the points out over the shared worker-pool fan-out (the suite
 	// engine's pattern, including its cancellation: a disconnected client
 	// stops the dispatch instead of grinding through dead work); results
 	// land at their grid index so output order is stable.
 	ctx := r.Context()
 	items := make([]SweepItem, len(grid))
-	undispatched := s.runSweep(ctx, grid, chainLen, func(i int, it SweepItem) { items[i] = it })
-	for i := undispatched * chainLen; i < len(grid); i++ {
+	undispatched := s.runSweep(ctx, grid, func(i int, it SweepItem) { items[i] = it })
+	for i := undispatched; i < len(grid); i++ {
 		items[i] = SweepItem{Request: grid[i], Err: context.Cause(ctx).Error()}
 	}
 
 	writeJSON(w, http.StatusOK, SweepResponse{Count: len(items), Results: items})
 }
 
-// runSweep dispatches the grid as chains of chainLen consecutive points
-// over the worker pool, threading the warm-start hint through each chain,
-// and emits every completed item. The server-wide semaphore makes
-// cfg.Parallel a bound across concurrent sweeps, not a per-request one.
-// It returns the index of the first chain that was never dispatched
-// (cancellation); items of dispatched chains are always emitted, including
-// the per-point cancellation errors of a chain cut short mid-run.
-func (s *Service) runSweep(ctx context.Context, grid []PlanRequest, chainLen int, emit func(int, SweepItem)) (undispatched int) {
-	chains := (len(grid) + chainLen - 1) / chainLen
-	return pool.ForEachIndexed(ctx, chains, s.cfg.Parallel, func(ci int) {
-		var hint []lancet.PipelineHint
-		for idx := ci * chainLen; idx < (ci+1)*chainLen && idx < len(grid); idx++ {
-			// Give up the wait for a semaphore slot when the client is
-			// gone — an already-dispatched point must not run dead work.
-			select {
-			case s.sweepSem <- struct{}{}:
-			case <-ctx.Done():
-				emit(idx, SweepItem{Request: grid[idx], Err: context.Cause(ctx).Error()})
-				continue
-			}
-			it, nextHint := s.sweepOne(grid[idx], hint)
-			<-s.sweepSem
-			if nextHint != nil {
-				hint = nextHint
-			}
-			emit(idx, it)
+// runSweep dispatches every grid point as one independent computation over
+// the worker pool and emits every completed item. The server-wide
+// semaphore makes cfg.Parallel a bound across concurrent sweeps, not a
+// per-request one. It returns the index of the first point that was never
+// dispatched (cancellation); dispatched points are always emitted,
+// including the cancellation error of one that gave up its semaphore wait.
+func (s *Service) runSweep(ctx context.Context, grid []PlanRequest, emit func(int, SweepItem)) (undispatched int) {
+	return pool.ForEachIndexed(ctx, len(grid), s.cfg.Parallel, func(idx int) {
+		// Give up the wait for a semaphore slot when the client is gone —
+		// an already-dispatched point must not run dead work.
+		select {
+		case s.sweepSem <- struct{}{}:
+		case <-ctx.Done():
+			emit(idx, SweepItem{Request: grid[idx], Err: context.Cause(ctx).Error()})
+			return
 		}
+		it := s.sweepOne(grid[idx])
+		<-s.sweepSem
+		emit(idx, it)
 	})
 }
 
@@ -585,7 +539,7 @@ func (s *Service) runSweep(ctx context.Context, grid []PlanRequest, chainLen int
 // written and flushed immediately as one line carrying its deterministic
 // grid index, so arbitrarily large sweeps never accumulate a response in
 // memory and clients see results as they land.
-func (s *Service) streamSweep(w http.ResponseWriter, r *http.Request, grid []PlanRequest, chainLen int) {
+func (s *Service) streamSweep(w http.ResponseWriter, r *http.Request, grid []PlanRequest) {
 	w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -599,10 +553,10 @@ func (s *Service) streamSweep(w http.ResponseWriter, r *http.Request, grid []Pla
 	ch := make(chan streamItem, s.cfg.Parallel)
 	go func() {
 		defer close(ch)
-		undispatched := s.runSweep(ctx, grid, chainLen, func(i int, it SweepItem) {
+		undispatched := s.runSweep(ctx, grid, func(i int, it SweepItem) {
 			ch <- streamItem{Index: i, SweepItem: it}
 		})
-		for i := undispatched * chainLen; i < len(grid); i++ {
+		for i := undispatched; i < len(grid); i++ {
 			ch <- streamItem{Index: i, SweepItem: SweepItem{Request: grid[i], Err: context.Cause(ctx).Error()}}
 		}
 	}()
@@ -614,23 +568,18 @@ func (s *Service) streamSweep(w http.ResponseWriter, r *http.Request, grid []Pla
 	}
 }
 
-// sweepOne resolves and serves a single grid point, folding its errors into
-// the item. hint warm-starts the point's partition DP; the returned hint is
-// the point's own chosen pipelines when it produced a Lancet plan (nil
-// otherwise), which the caller threads to the chain's next point.
-func (s *Service) sweepOne(req PlanRequest, hint []lancet.PipelineHint) (SweepItem, []lancet.PipelineHint) {
+// sweepOne resolves and serves a single grid point through the plan store,
+// exactly as /v1/plan would, folding its errors into the item.
+func (s *Service) sweepOne(req PlanRequest) SweepItem {
 	c, err := req.canonicalize()
 	if err != nil {
-		return SweepItem{Request: req, Err: err.Error()}, nil
+		return SweepItem{Request: req, Err: err.Error()}
 	}
-	res, _, err := s.resultFor(c, c.framework, hint)
+	res, _, err := s.resultFor(c, c.framework)
 	if err != nil {
-		return SweepItem{Request: c.echo(), Err: err.Error()}, nil
+		return SweepItem{Request: c.echo(), Err: err.Error()}
 	}
-	if c.framework == lancet.FrameworkLancet {
-		return SweepItem{Request: c.echo(), Result: res}, res.Pipelines
-	}
-	return SweepItem{Request: c.echo(), Result: res}, nil
+	return SweepItem{Request: c.echo(), Result: res}
 }
 
 // ExperimentInfo describes one registered experiment for GET
@@ -668,8 +617,7 @@ type StatsResponse struct {
 	Computations int64 `json:"computations"`
 	Deduplicated int64 `json:"deduplicated"`
 	// DPEvaluations accumulates partition-DP candidate evaluations across
-	// every computation — the optimization effort neighbor warm-start
-	// reduces (DESIGN.md §14).
+	// every computation (DESIGN.md §14).
 	DPEvaluations int64 `json:"dp_evaluations"`
 	// CostModel aggregates lancet.CostStats over every pooled session
 	// plus the retired tally of evicted ones (monotonic across scrapes).

@@ -11,8 +11,8 @@ import (
 	"testing"
 )
 
-// sweep_stream_test.go pins /v1/sweep's NDJSON streaming mode and the
-// neighbor warm-start chaining (DESIGN.md §14).
+// sweep_stream_test.go pins /v1/sweep's NDJSON streaming mode and that a
+// sweep's grid points are exactly the plans /v1/plan serves.
 
 func postSweep(t *testing.T, h http.Handler, body string) *httptest.ResponseRecorder {
 	t.Helper()
@@ -142,57 +142,29 @@ func TestSweepStreamLiftsBufferedCap(t *testing.T) {
 	}
 }
 
-// TestWarmStartSweepByteIdenticalAndFewerEvals is the warm-start acceptance
-// check at the service layer: a warm-started sweep returns byte-identical
-// results to a cold one while the DP evaluation counter records measurably
-// less optimization work.
-func TestWarmStartSweepByteIdenticalAndFewerEvals(t *testing.T) {
-	grid := `"frameworks": ["lancet"], "gpus": [16, 32]`
-	coldSvc := New(Config{Parallel: 2})
-	cold := postSweep(t, coldSvc.Handler(), `{`+grid+`}`)
-	if cold.Code != http.StatusOK {
-		t.Fatalf("cold status = %d, body %s", cold.Code, cold.Body)
+// TestSweepThenPlanMatchesFreshService pins that a sweep leaves nothing in
+// the plan store a later /v1/plan could observe: every point's plan body,
+// served from the store the sweep filled, is byte-identical to a fresh
+// service's computation of the same request.
+func TestSweepThenPlanMatchesFreshService(t *testing.T) {
+	gpus := []int{8, 16, 32, 64}
+	h := New(Config{Parallel: 2}).Handler()
+	sw := postSweep(t, h, `{"models":["gpt2-s"],"clusters":["V100"],"gpus":[8,16,32,64],`+
+		`"gates":["switch"],"frameworks":["lancet"],"batch":24}`)
+	if sw.Code != http.StatusOK {
+		t.Fatalf("sweep status = %d, body %.300s", sw.Code, sw.Body)
 	}
-	warmSvc := New(Config{Parallel: 2})
-	warm := postSweep(t, warmSvc.Handler(), `{`+grid+`, "warm_start": true}`)
-	if warm.Code != http.StatusOK {
-		t.Fatalf("warm status = %d, body %s", warm.Code, warm.Body)
-	}
-	if !bytes.Equal(cold.Body.Bytes(), warm.Body.Bytes()) {
-		t.Error("warm-started sweep response differs from the cold one")
-	}
-	coldEvals := coldSvc.Stats().DPEvaluations
-	warmEvals := warmSvc.Stats().DPEvaluations
-	if coldEvals == 0 {
-		t.Fatal("cold sweep recorded no DP evaluations; the counter is broken")
-	}
-	if warmEvals >= coldEvals {
-		t.Errorf("warm-started sweep spent %d DP evaluations, cold spent %d — want measurably fewer",
-			warmEvals, coldEvals)
-	} else {
-		t.Logf("cold %d DP evaluations, warm-started %d", coldEvals, warmEvals)
-	}
-}
-
-func TestWarmStartStreamCombination(t *testing.T) {
-	// Both flags together: chained hints behind an NDJSON stream, results
-	// still identical to the plain buffered sweep.
-	grid := `"frameworks": ["lancet"], "gpus": [16, 32]`
-	buffered := postSweep(t, New(Config{Parallel: 2}).Handler(), `{`+grid+`}`)
-	var bresp SweepResponse
-	if err := json.NewDecoder(buffered.Body).Decode(&bresp); err != nil {
-		t.Fatal(err)
-	}
-	w := postSweep(t, New(Config{Parallel: 2}).Handler(), `{`+grid+`, "stream": true, "warm_start": true}`)
-	if w.Code != http.StatusOK {
-		t.Fatalf("status = %d, body %.200s", w.Code, w.Body)
-	}
-	items := decodeStream(t, w.Body, bresp.Count)
-	for i := range items {
-		want, _ := json.Marshal(bresp.Results[i])
-		got, _ := json.Marshal(items[i])
-		if !bytes.Equal(want, got) {
-			t.Errorf("point %d: warm stream %s, cold buffered %s", i, got, want)
+	for _, g := range gpus {
+		body := fmt.Sprintf(`{"model":"gpt2-s","cluster":"V100","gpus":%d,"gate":"switch",`+
+			`"framework":"lancet","batch":24,"baseline":"none"}`, g)
+		after := postPlan(t, h, body)
+		fresh := postPlan(t, New(Config{}).Handler(), body)
+		if after.Code != http.StatusOK || fresh.Code != http.StatusOK {
+			t.Fatalf("gpus %d: status %d after sweep, %d fresh", g, after.Code, fresh.Code)
+		}
+		if !bytes.Equal(after.Body.Bytes(), fresh.Body.Bytes()) {
+			t.Errorf("gpus %d: plan after sweep (cache %s) differs from a fresh service:\nafter: %.400s\nfresh: %.400s",
+				g, after.Header().Get("X-Lancet-Cache"), after.Body, fresh.Body)
 		}
 	}
 }

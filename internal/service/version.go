@@ -14,10 +14,17 @@ import (
 //	1 — the pre-versioning surface: /v1/plan, /v1/sweep, /v1/experiments,
 //	    /v1/stats with flat {"error": "..."} error bodies.
 //	2 — structured error envelopes ({"error":{"code","message"}}, legacy
-//	    flat string moved to "error_string"), /v1/routing drift loop,
+//	    flat string kept beside it under a second key), /v1/routing drift loop,
 //	    /v1/version, api_revision + drift counters in /v1/stats, skew
 //	    shorthand deprecated (DESIGN.md §16).
-const APIRevision = 2
+//	3 — deprecations retired and warm start deleted: error bodies carry
+//	    only the envelope (the flat string is gone), the "skew" shorthand is
+//	    gone from /v1/plan, /v1/sweep and /v1/routing plans (spell it
+//	    "routing": {"kind": "zipf", "alpha": A}), /v1/sweep's "warm_start"
+//	    is gone (every grid point is planned cold), and node-loss what-ifs
+//	    drop "cold_dp_evaluations". Each removed field is now an unknown
+//	    field: a 400 bad_request.
+const APIRevision = 3
 
 // VersionResponse is the body of GET /v1/version: everything a client
 // needs to decide whether it speaks this server's dialect — the module

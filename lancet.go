@@ -282,33 +282,25 @@ type Options struct {
 	// AssumeUniformRouting when both are set. The profile must be shaped
 	// for the session's device count.
 	PlanProfile *netsim.RoutingProfile
-	// Hint seeds the partition DP with a neighboring configuration's
-	// chosen pipelines — typically the adjacent sweep grid point's
-	// Plan.Pipelines (DESIGN.md §14). A good hint cuts DP evaluations
-	// sharply (the DP probes each hinted partition count's neighborhood
-	// and skips the rest of the k sweep when it wins); a stale or
-	// mismatched hint only costs its probes. Chosen plans are
-	// byte-identical to a hint-free run either way, which is why the
-	// serving layer's plan-store keys ignore it.
-	Hint []PipelineHint
 	// FixedPipelines replays a previous plan's chosen pipelines verbatim
 	// instead of running the partition DP: each range keeps its partition
 	// count (clamped to what the graph admits) and no partition decisions
 	// are revisited. This is the degraded-replay half of a node-loss
-	// what-if — "how does the stale plan behave on this fleet" — and takes
-	// precedence over Hint (DESIGN.md §17).
+	// what-if — "how does the stale plan behave on this fleet" (DESIGN.md
+	// §17). Replay is exact: it prices the given ranges, it never searches.
 	FixedPipelines []PipelineHint
 	// LostNodes lists global node indices to drop in a node-loss what-if
 	// (DESIGN.md §17). Session.Lancet ignores it — planning always targets
 	// the intact fleet; Session.NodeLoss (and the serving layer's
 	// what_if.lost_nodes field) consumes it to compare the stale plan's
-	// degraded replay against a warm-started re-plan on the survivors.
+	// degraded replay against a fresh plan for the survivors.
 	LostNodes []int
 }
 
-// PipelineHint is one chosen pipeline of a previous plan — the instruction
-// range (input-graph program order, inclusive) and partition count the
-// warm-started partition DP seeds itself from (DESIGN.md §14).
+// PipelineHint is one chosen pipeline of a plan: the instruction range
+// (input-graph program order, inclusive) and its partition count. Plans
+// report them in Plan.Pipelines, and Options.FixedPipelines replays them
+// verbatim on a degraded fleet (DESIGN.md §17).
 type PipelineHint struct {
 	Start int `json:"start"`
 	End   int `json:"end"`
@@ -422,12 +414,13 @@ type Plan struct {
 	// PipelineKs lists the chosen per-pipeline partition counts in program
 	// order — the plan shape that shifts under skewed routing.
 	PipelineKs []int
-	// DPEvaluations counts P(i,n,k) evaluations (optimization effort) —
-	// the quantity a warm-start hint reduces (DESIGN.md §14).
+	// DPEvaluations counts P(i,n,k) evaluations (optimization effort):
+	// every candidate partition count of every candidate window, priced
+	// once (DESIGN.md §14).
 	DPEvaluations int
 	// Pipelines lists the chosen pipelines (instruction range + partition
-	// count) — the warm-start hint a neighboring configuration seeds its
-	// partition DP from via Options.Hint (DESIGN.md §14).
+	// count): the plan shape a node-loss what-if replays through
+	// Options.FixedPipelines (DESIGN.md §17).
 	Pipelines []PipelineHint
 	// RhoUsed is the maximum-partition limit actually used after the OOM
 	// fallback (paper Sec. 7: rho=8, reduced to 4 then 2 when partition
@@ -644,12 +637,6 @@ func (s *Session) Lancet(opts Options) (*Plan, error) {
 			GroupUs:          opts.GroupUs,
 			MaxRangeGroups:   opts.MaxRangeGroups,
 			GatePartialBatch: s.Config.Gate.SupportsPartialBatch(),
-		}
-		if len(opts.Hint) > 0 && len(opts.FixedPipelines) == 0 {
-			popts.Hint = make([]partition.Range, len(opts.Hint))
-			for i, h := range opts.Hint {
-				popts.Hint[i] = partition.Range{Start: h.Start, End: h.End, K: h.K}
-			}
 		}
 		var fixed []partition.Range
 		if len(opts.FixedPipelines) > 0 {

@@ -12,8 +12,8 @@ import (
 const scenarioSimRuns = 3
 
 // NodeLossReport is the outcome of a node-loss what-if (DESIGN.md §17): the
-// stale plan replayed on the degraded fleet versus a warm-started re-plan,
-// with the intact fleet as the reference. All latencies are means over
+// stale plan replayed on the degraded fleet versus a fresh plan for the
+// survivors, with the intact fleet as the reference. All latencies are means over
 // scenarioSimRuns seeded iterations, so identical inputs reproduce
 // identical reports.
 type NodeLossReport struct {
@@ -30,8 +30,8 @@ type NodeLossReport struct {
 	// so the survivors still carry at least the intact fleet's global
 	// token budget.
 	DegradedMs float64
-	// ReplannedMs is a fresh plan for the degraded fleet, warm-started
-	// from the stale plan's pipelines (Options.Hint).
+	// ReplannedMs is a fresh plan for the degraded fleet: the partition
+	// DP run from scratch on the survivors.
 	ReplannedMs float64
 	// DegradedSlowdown is DegradedMs / IntactMs — the price of losing the
 	// nodes without re-planning.
@@ -39,11 +39,9 @@ type NodeLossReport struct {
 	// ReplanSpeedup is DegradedMs / ReplannedMs — what re-planning buys
 	// back on the degraded fleet.
 	ReplanSpeedup float64
-	// ReplanEvaluations and ColdEvaluations are the warm-started and cold
-	// re-plan's partition-DP evaluation counts — the re-plan cost the
-	// warm start cuts (DESIGN.md §14).
+	// ReplanEvaluations is the re-plan's partition-DP evaluation count:
+	// what answering "what would we choose now" costs.
 	ReplanEvaluations int
-	ColdEvaluations   int
 
 	// Base, Degraded and Replanned expose the three underlying plans.
 	Base      *Plan
@@ -67,9 +65,9 @@ func normalizeLostNodes(lost []int) []int {
 
 // NodeLoss answers the node-loss what-if for opts.LostNodes: it drops the
 // listed nodes from the session's cluster, replays the base plan's
-// pipelines verbatim on the degraded fleet, re-plans warm-started from
-// those same pipelines, and reports the three latencies plus the re-plan's
-// DP cost (DESIGN.md §17). The degraded session's per-GPU batch is scaled
+// pipelines verbatim on the degraded fleet, plans the degraded fleet once
+// from scratch, and reports the three latencies plus the re-plan's DP cost
+// (DESIGN.md §17). The degraded session's per-GPU batch is scaled
 // up by ceil(intact GPUs / survivor GPUs) so the survivors carry at least
 // the intact fleet's global token budget — losing nodes can therefore
 // never predict faster than the intact fleet. base, when non-nil, is a
@@ -109,21 +107,14 @@ func (s *Session) NodeLoss(base *Plan, opts Options, seed int64) (*NodeLossRepor
 	ds.WorkloadHotExpert = s.WorkloadHotExpert
 
 	repOpts := baseOpts
-	repOpts.Hint = nil
 	repOpts.FixedPipelines = base.Pipelines
 	degraded, err := ds.Lancet(repOpts)
 	if err != nil {
 		return nil, fmt.Errorf("lancet: node-loss degraded replay: %w", err)
 	}
-	warmOpts := baseOpts
-	warmOpts.Hint = base.Pipelines
-	replanned, err := ds.Lancet(warmOpts)
+	replanned, err := ds.Lancet(baseOpts)
 	if err != nil {
 		return nil, fmt.Errorf("lancet: node-loss re-plan: %w", err)
-	}
-	cold, err := ds.Lancet(baseOpts)
-	if err != nil {
-		return nil, fmt.Errorf("lancet: node-loss cold re-plan: %w", err)
 	}
 
 	rep := &NodeLossReport{
@@ -131,7 +122,6 @@ func (s *Session) NodeLoss(base *Plan, opts Options, seed int64) (*NodeLossRepor
 		LostGPUs:          intactGPUs - survivorGPUs,
 		SurvivorGPUs:      survivorGPUs,
 		ReplanEvaluations: replanned.DPEvaluations,
-		ColdEvaluations:   cold.DPEvaluations,
 		Base:              base,
 		Degraded:          degraded,
 		Replanned:         replanned,
@@ -159,32 +149,27 @@ func (s *Session) NodeLoss(base *Plan, opts Options, seed int64) (*NodeLossRepor
 	return rep, nil
 }
 
-// ResizeStep is one fleet size of an elastic-resize sweep: the warm-started
-// plan's iteration time, the pipelines it chose (the next step's hint), and
-// the warm-vs-cold partition-DP evaluation counts — the re-plan cost curve
-// hint chaining flattens (DESIGN.md §17).
+// ResizeStep is one fleet size of an elastic-resize sweep: the plan's
+// iteration time and its partition-DP evaluation count — the re-plan cost
+// curve an elastic scheduler pays (DESIGN.md §17).
 type ResizeStep struct {
-	GPUs            int
-	IterationMs     float64
-	Pipelines       []PipelineHint
-	WarmEvaluations int
-	ColdEvaluations int
+	GPUs          int
+	IterationMs   float64
+	DPEvaluations int
 }
 
 // ElasticResize grows and shrinks a uniform fleet through the given GPU
-// schedule, re-planning at each size warm-started from the previous size's
-// chosen pipelines (exactly the chain /v1/sweep's warm_start mode runs),
-// and reports the per-size latency plus the warm and cold DP evaluation
-// counts. The per-GPU batch stays fixed, so the global batch scales with
-// the fleet — the elasticity semantics of a data-parallel resize. Plans are
-// byte-identical to cold ones (the warm-start invariant); only the DP
-// effort differs.
+// schedule, planning each size once, and reports the per-size latency and
+// DP evaluation count. The per-GPU batch stays fixed, so the global batch
+// scales with the fleet — the elasticity semantics of a data-parallel
+// resize. Every plan is a function of its size alone, so a size the
+// schedule revisits reproduces its earlier step exactly.
 func ElasticResize(cfg ModelConfig, gpuType string, schedule []int, opts Options, seed int64) ([]ResizeStep, error) {
 	if len(schedule) == 0 {
 		return nil, fmt.Errorf("lancet: empty resize schedule")
 	}
+	opts.LostNodes, opts.FixedPipelines = nil, nil
 	steps := make([]ResizeStep, 0, len(schedule))
-	var hint []PipelineHint
 	for _, gpus := range schedule {
 		cl, err := NewCluster(gpuType, gpus)
 		if err != nil {
@@ -194,31 +179,15 @@ func ElasticResize(cfg ModelConfig, gpuType string, schedule []int, opts Options
 		if err != nil {
 			return nil, fmt.Errorf("lancet: resize to %d GPUs: %w", gpus, err)
 		}
-		warmOpts := opts
-		warmOpts.Hint = hint
-		warmOpts.LostNodes, warmOpts.FixedPipelines = nil, nil
-		warm, err := sess.Lancet(warmOpts)
+		plan, err := sess.Lancet(opts)
 		if err != nil {
 			return nil, fmt.Errorf("lancet: resize plan at %d GPUs: %w", gpus, err)
 		}
-		coldOpts := warmOpts
-		coldOpts.Hint = nil
-		cold, err := sess.Lancet(coldOpts)
-		if err != nil {
-			return nil, fmt.Errorf("lancet: resize cold plan at %d GPUs: %w", gpus, err)
-		}
-		st, err := warm.SimulateN(scenarioSimRuns, seed)
+		st, err := plan.SimulateN(scenarioSimRuns, seed)
 		if err != nil {
 			return nil, fmt.Errorf("lancet: resize simulation at %d GPUs: %w", gpus, err)
 		}
-		steps = append(steps, ResizeStep{
-			GPUs:            gpus,
-			IterationMs:     st.MeanMs,
-			Pipelines:       warm.Pipelines,
-			WarmEvaluations: warm.DPEvaluations,
-			ColdEvaluations: cold.DPEvaluations,
-		})
-		hint = warm.Pipelines
+		steps = append(steps, ResizeStep{GPUs: gpus, IterationMs: st.MeanMs, DPEvaluations: plan.DPEvaluations})
 	}
 	return steps, nil
 }

@@ -79,9 +79,8 @@ func TestNodeLossNeverPredictsFaster(t *testing.T) {
 
 // TestNodeLossReplanBeatsDegradedReplay pins the headline of the node-loss
 // scenario on configurations where the stale plan's group cuts no longer
-// fit the survivors: the warm-started re-plan is faster than replaying the
-// stale pipelines, and it costs fewer DP evaluations than planning the
-// degraded fleet cold.
+// fit the survivors: the re-plan is no slower than replaying the stale
+// pipelines.
 func TestNodeLossReplanBeatsDegradedReplay(t *testing.T) {
 	cases := []struct {
 		gpuType   string
@@ -103,10 +102,6 @@ func TestNodeLossReplanBeatsDegradedReplay(t *testing.T) {
 		if rep.ReplannedMs > rep.DegradedMs {
 			t.Errorf("%d x %s lose %v: re-plan %.2f ms slower than degraded replay %.2f ms",
 				tc.gpus, tc.gpuType, tc.lost, rep.ReplannedMs, rep.DegradedMs)
-		}
-		if rep.ReplanEvaluations >= rep.ColdEvaluations {
-			t.Errorf("%d x %s lose %v: warm re-plan spent %d DP evaluations, cold %d",
-				tc.gpus, tc.gpuType, tc.lost, rep.ReplanEvaluations, rep.ColdEvaluations)
 		}
 	}
 }
@@ -157,11 +152,10 @@ func TestFixedPipelinesReplayIsIdentity(t *testing.T) {
 	}
 }
 
-// TestElasticResizeWarmStartsCutDPWork pins the resize chain: every step
-// after the first re-plans warm-started from its neighbor's pipelines and
-// must spend strictly fewer DP evaluations than a cold plan of the same
-// size — while producing the identical plan (warm-start invariant).
-func TestElasticResizeWarmStartsCutDPWork(t *testing.T) {
+// TestElasticResizeSymmetricSchedule pins the resize sweep: every size is
+// planned from scratch, so the sizes a symmetric schedule revisits land on
+// identical latencies and identical DP evaluation counts.
+func TestElasticResizeSymmetricSchedule(t *testing.T) {
 	steps, err := ElasticResize(GPT2SMoE(0), "V100", []int{16, 32, 64, 32, 16}, Options{}, 17)
 	if err != nil {
 		t.Fatal(err)
@@ -169,22 +163,15 @@ func TestElasticResizeWarmStartsCutDPWork(t *testing.T) {
 	if len(steps) != 5 {
 		t.Fatalf("%d steps, want 5", len(steps))
 	}
-	for i, st := range steps {
-		if i == 0 {
-			if st.WarmEvaluations != st.ColdEvaluations {
-				t.Errorf("first step has no hint yet: warm %d != cold %d", st.WarmEvaluations, st.ColdEvaluations)
-			}
-			continue
-		}
-		if st.WarmEvaluations >= st.ColdEvaluations {
-			t.Errorf("step %d (%d GPUs): warm %d evaluations, cold %d — the chained hint saved nothing",
-				i, st.GPUs, st.WarmEvaluations, st.ColdEvaluations)
+	for i := 0; i < 2; i++ {
+		if a, b := steps[i], steps[4-i]; a != b {
+			t.Errorf("symmetric sizes diverge: step %d %+v, step %d %+v", i, a, 4-i, b)
 		}
 	}
-	// The schedule is symmetric, so matching sizes must land on identical
-	// latencies: plans are byte-identical however they were warm-started.
-	if steps[0].IterationMs != steps[4].IterationMs || steps[1].IterationMs != steps[3].IterationMs {
-		t.Errorf("symmetric sizes diverge: %v", steps)
+	for i, st := range steps {
+		if st.DPEvaluations == 0 {
+			t.Errorf("step %d (%d GPUs) ran no DP evaluations", i, st.GPUs)
+		}
 	}
 	if _, err := ElasticResize(GPT2SMoE(0), "V100", nil, Options{}, 17); err == nil {
 		t.Error("empty schedule accepted")
