@@ -1,7 +1,6 @@
 package moe
 
 import (
-	"math"
 	"sort"
 
 	"lancet/internal/tensor"
@@ -55,100 +54,4 @@ func (ExpertChoiceGate) Route(scores *tensor.Tensor, _ int, st *CapacityState) [
 		}
 	}
 	return routes
-}
-
-// SkewedInputs builds token batches whose gate scores are biased toward a
-// few "hot" experts with Zipf-like popularity. skew = 0 reproduces balanced
-// random routing; larger values concentrate tokens on low-index experts,
-// stressing capacity overflow, token dropping and irregular all-to-all
-// imbalance — the dynamic workloads FasterMoE and Tutel's adaptive
-// parallelism target.
-func SkewedInputs(l *Layer, tokens int, skew float64, seed int64) []*tensor.Tensor {
-	cfg := l.Cfg
-	rng := newSplitmixRand(uint64(seed))
-	xs := make([]*tensor.Tensor, cfg.Devices)
-	e := cfg.TotalExperts()
-	// The Zipf weights depend only on (e, skew); computing them per token
-	// (a pow call per expert per token) used to dominate workload synthesis.
-	var weights []float64
-	var total float64
-	if skew > 0 {
-		weights, total = zipfWeights(e, skew)
-	}
-	for d := range xs {
-		x := tensor.New(tokens, cfg.Hidden)
-		for i := 0; i < tokens; i++ {
-			row := x.Row(i)
-			for j := range row {
-				row[j] = float32(rng.norm())
-			}
-			if skew <= 0 {
-				continue
-			}
-			// Pick a target expert with Zipf-ish popularity and push the
-			// token toward that expert's gate direction (the corresponding
-			// column of GateW), raising its score.
-			target := pickWeighted(rng, weights, total)
-			for j := range row {
-				row[j] += float32(skew) * l.GateW.Data[j*e+target] * 50
-			}
-		}
-		xs[d] = x
-	}
-	return xs
-}
-
-// zipfPick samples an expert index with probability proportional to
-// 1/(rank+1)^skew.
-func zipfPick(r *splitmixRand, n int, skew float64) int {
-	weights, total := zipfWeights(n, skew)
-	return pickWeighted(r, weights, total)
-}
-
-// zipfWeights returns the (unnormalized) Zipf weight table and its sum, in
-// the same accumulation order zipfPick always used, so hoisting the table
-// out of a sampling loop changes no sampled index.
-func zipfWeights(n int, skew float64) ([]float64, float64) {
-	total := 0.0
-	weights := make([]float64, n)
-	for i := 0; i < n; i++ {
-		w := 1.0 / math.Pow(float64(i+1), skew)
-		weights[i] = w
-		total += w
-	}
-	return weights, total
-}
-
-// pickWeighted draws one index from the weight table by inverse CDF walk.
-func pickWeighted(r *splitmixRand, weights []float64, total float64) int {
-	u := r.float() * total
-	for i, w := range weights {
-		u -= w
-		if u <= 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
-
-// splitmixRand is a tiny deterministic RNG so skewed workloads are
-// reproducible without threading *rand.Rand through the API.
-type splitmixRand struct{ state uint64 }
-
-func newSplitmixRand(seed uint64) *splitmixRand { return &splitmixRand{state: seed} }
-
-func (r *splitmixRand) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	return splitmix(r.state)
-}
-
-func (r *splitmixRand) float() float64 { return float64(r.next()>>11) / float64(1<<53) }
-
-// norm approximates a unit normal via the sum of uniforms (Irwin-Hall).
-func (r *splitmixRand) norm() float64 {
-	s := 0.0
-	for i := 0; i < 12; i++ {
-		s += r.float()
-	}
-	return s - 6
 }

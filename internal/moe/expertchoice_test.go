@@ -129,10 +129,11 @@ func TestSkewedInputsDeterministic(t *testing.T) {
 }
 
 func TestZipfPickDistribution(t *testing.T) {
-	r := newSplitmixRand(3)
+	r := &splitmixRand{state: 3}
+	weights, sum := zipfWeights(8, 1.2)
 	counts := make([]int, 8)
 	for i := 0; i < 4000; i++ {
-		counts[zipfPick(r, 8, 1.2)]++
+		counts[pickWeighted(r.float(), weights, sum)]++
 	}
 	if counts[0] <= counts[7] {
 		t.Errorf("Zipf head (%d) should dominate tail (%d)", counts[0], counts[7])

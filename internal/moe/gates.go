@@ -230,17 +230,22 @@ type prioToken struct {
 	importance float32
 }
 
-// prioritize scores every row of a [T, E] logit block, reusing one softmax
-// buffer for the whole block.
+// prioritize scores every row of a [T, E] logit block.
 func prioritize(scores *tensor.Tensor) []prioToken {
 	toks := make([]prioToken, scores.Rows())
 	buf := make([]float32, scores.Cols())
 	for i := range toks {
-		probs := tensor.Softmax(append(buf[:0], scores.Row(i)...))
-		e := tensor.Argmax(probs)
-		toks[i] = prioToken{expert: int32(e), importance: probs[e]}
+		toks[i] = prioritizeRow(append(buf[:0], scores.Row(i)...))
 	}
 	return toks
+}
+
+// prioritizeRow decides one token from its logits, which it normalizes in
+// place.
+func prioritizeRow(logits []float32) prioToken {
+	probs := tensor.Softmax(logits)
+	e := tensor.Argmax(probs)
+	return prioToken{expert: int32(e), importance: probs[e]}
 }
 
 // priorityOrder is the admission order of a block: token indices by

@@ -1,13 +1,17 @@
 package moe
 
-import "lancet/internal/tensor"
+import (
+	"fmt"
+
+	"lancet/internal/tensor"
+)
 
 // Routing is the k-free outcome of one gate run over every device's whole
-// batch: the gate projection and each token's decision, reduced to the
-// compact data capacity admission needs to replay any micro-batch split.
-// Split(k) then equals RouteOnly(xs, gate, k) bit for bit without re-running
-// the projection, because tensor.MatMul computes each output row from its
-// input row alone: a chunk's scores are rows of the whole batch's scores.
+// batch: each token's decision, reduced to the compact data capacity
+// admission needs to replay any micro-batch split. Split(k) then equals
+// RouteOnly(xs, gate, k) bit for bit without re-running the projection,
+// because tensor.MatMulRow computes each output row from its input row
+// alone: a chunk's scores are rows of the whole batch's scores.
 //
 // What a split needs depends on how the gate admits tokens (paper
 // Sec. 2.3):
@@ -17,50 +21,89 @@ import "lancet/internal/tensor"
 //     the per-token kept-slot counts are regrouped into micro-batches;
 //   - Batch Prioritized Routing re-sorts each chunk by importance, so each
 //     token's expert and importance are kept and admission is replayed;
-//   - any other gate (expert choice) ranks tokens per expert within the
-//     chunk, so its score rows are kept and replayed through Gate.Route on
-//     chunk views.
+//   - expert choice admits min(remaining, chunk) tokens per expert and
+//     keeps every slot, whatever the scores, so its split is closed form
+//     and the routing keeps nothing but the batch size.
 //
 // A Routing is immutable; Split may be called concurrently.
 type Routing struct {
 	cfg    Config
-	gate   Gate
 	tokens int // rows per device batch
 
 	whole      *Stats    // arrival order: totals of the whole batch
 	keptPrefix [][]int32 // arrival order: [d][t] slots kept by tokens < t
 	prio       [][]prioToken
-	scores     []*tensor.Tensor
 }
 
 // Route runs the gate projection and the per-token decision once per device
 // batch (the first xs[0].Rows() rows of each device, the range RouteOnly
-// splits) and keeps what Split needs.
+// splits) and keeps what Split needs. It supports the arrival-order gates,
+// Batch Prioritized Routing and expert choice, and panics on any other gate
+// that is not partial-batch safe.
+//
+// The projection runs row by row into one reused buffer. The Switch gate
+// decides each row with tensor.SoftmaxArgmax, which skips the exponentials
+// when the top-1 expert is clear: the path never reads a slot weight. Other
+// arrival-order gates see one reused [T, E] score block per device.
 func (l *Layer) Route(xs []*tensor.Tensor, gate Gate) *Routing {
 	cfg := l.Cfg
 	t := xs[0].Rows()
-	r := &Routing{cfg: cfg, gate: gate, tokens: t}
-	_, bpr := gate.(BatchPrioritizedGate)
-	arrival := !bpr && gate.PartialBatchSafe()
-	if arrival {
-		r.whole = newStats(cfg)
+	r := &Routing{cfg: cfg, tokens: t}
+	e := cfg.TotalExperts()
+	switch gate.(type) {
+	case ExpertChoiceGate:
+		return r
+	case BatchPrioritizedGate:
+		r.prio = make([][]prioToken, cfg.Devices)
+		row := make([]float32, e)
+		for d := range r.prio {
+			toks := make([]prioToken, t)
+			for i := range toks {
+				tensor.MatMulRow(row, xs[d].Row(i), l.GateW)
+				toks[i] = prioritizeRow(row)
+			}
+			r.prio[d] = toks
+		}
+		return r
 	}
-	for d := 0; d < cfg.Devices; d++ {
-		block := &tensor.Tensor{Shape: []int{t, cfg.Hidden}, Data: xs[d].Data[:t*cfg.Hidden]}
-		scores := tensor.MatMul(block, l.GateW)
-		switch {
-		case bpr:
-			r.prio = append(r.prio, prioritize(scores))
-		case arrival:
-			routes := gate.Route(scores, 0, NewCapacityState(cfg.TotalExperts(), cfg.Capacity))
-			prefix := make([]int32, t+1)
+	if !gate.PartialBatchSafe() {
+		panic(fmt.Sprintf("moe: Route cannot replay splits of gate %q", gate.Name()))
+	}
+	r.whole = newStats(cfg)
+	r.keptPrefix = make([][]int32, cfg.Devices)
+	_, switchGate := gate.(SwitchGate)
+	var row []float32
+	var scores *tensor.Tensor
+	if switchGate {
+		row = make([]float32, e)
+	} else {
+		scores = tensor.New(t, e)
+	}
+	for d := range r.keptPrefix {
+		prefix := make([]int32, t+1)
+		st := NewCapacityState(e, cfg.Capacity)
+		if switchGate {
+			for i := 0; i < t; i++ {
+				tensor.MatMulRow(row, xs[d].Row(i), l.GateW)
+				kept := int32(0)
+				if ex := tensor.SoftmaxArgmax(row); st.take(ex) {
+					r.whole.admit(cfg, d, ex)
+					kept = 1
+				} else {
+					r.whole.Dropped++
+				}
+				prefix[i+1] = prefix[i] + kept
+			}
+		} else {
+			for i := 0; i < t; i++ {
+				tensor.MatMulRow(scores.Row(i), xs[d].Row(i), l.GateW)
+			}
+			routes := gate.Route(scores, 0, st)
 			for i := range routes {
 				prefix[i+1] = prefix[i] + int32(r.whole.count(cfg, d, routes[i:i+1]))
 			}
-			r.keptPrefix = append(r.keptPrefix, prefix)
-		default:
-			r.scores = append(r.scores, scores)
 		}
+		r.keptPrefix[d] = prefix
 	}
 	return r
 }
@@ -76,26 +119,32 @@ func (r *Routing) Split(k int) *Stats {
 	cfg := r.cfg
 	var s *Stats
 	var states []*CapacityState
-	if r.whole != nil {
+	switch {
+	case r.whole != nil:
 		s = r.whole.clone()
-	} else {
+	case r.prio != nil:
 		s = newStats(cfg)
 		states = make([]*CapacityState, cfg.Devices)
 		for d := range states {
 			states[d] = NewCapacityState(cfg.TotalExperts(), cfg.Capacity)
 		}
+	default:
+		s = newStats(cfg)
 	}
+	remaining := cfg.Capacity // expert choice: every expert's, on every device
 	for m := 0; m < k; m++ {
 		lo, hi := chunk(r.tokens, k, m)
 		if lo == hi {
 			continue
 		}
 		microSent := make([]int, cfg.Devices)
-		for d := range microSent {
-			switch {
-			case r.whole != nil:
+		switch {
+		case r.whole != nil:
+			for d := range microSent {
 				microSent[d] = int(r.keptPrefix[d][hi] - r.keptPrefix[d][lo])
-			case r.prio != nil:
+			}
+		case r.prio != nil:
+			for d := range microSent {
 				toks := r.prio[d][lo:hi]
 				for _, i := range priorityOrder(toks) {
 					if e := int(toks[i].expert); states[d].take(e) {
@@ -105,15 +154,31 @@ func (r *Routing) Split(k int) *Stats {
 						s.Dropped++
 					}
 				}
-			default:
-				e := cfg.TotalExperts()
-				view := &tensor.Tensor{Shape: []int{hi - lo, e}, Data: r.scores[d].Data[lo*e : hi*e]}
-				microSent[d] = s.count(cfg, d, r.gate.Route(view, lo, states[d]))
 			}
+		default:
+			n := min(remaining, hi-lo)
+			s.admitEveryExpert(cfg, n, microSent)
+			remaining -= n
 		}
 		s.MicroSendTokens = append(s.MicroSendTokens, microSent)
 	}
 	return s
+}
+
+// admitEveryExpert records n kept slots from every device to every expert
+// and adds each device's total to sent: one expert-choice chunk.
+func (s *Stats) admitEveryExpert(cfg Config, n int, sent []int) {
+	e := cfg.TotalExperts()
+	s.Routed += n * e * cfg.Devices
+	for ex := range s.ExpertTokens {
+		s.ExpertTokens[ex] += n * cfg.Devices
+	}
+	for d, row := range s.SendTokens {
+		for dst := range row {
+			row[dst] += n * cfg.ExpertsPerDevice
+		}
+		sent[d] += n * e
+	}
 }
 
 func newStats(cfg Config) *Stats {

@@ -1,6 +1,7 @@
 package moe
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -10,9 +11,10 @@ import (
 
 // TestSplitMatchesRouteOnly is the differential check behind route-once
 // profiling: for every gate, over a generated space of layer shapes,
-// capacities, input distributions and split counts (k beyond the token count
-// included), one Route followed by Split(k) reports exactly the statistics a
-// fresh RouteOnly(xs, gate, k) does.
+// capacities, input distributions (near ties of the gate logits included)
+// and split counts (k beyond the token count included), one Route followed
+// by Split(k) reports exactly the statistics a fresh RouteOnly(xs, gate, k)
+// does.
 func TestSplitMatchesRouteOnly(t *testing.T) {
 	gates := []Gate{SwitchGate{}, Top2Gate{}, RandomGate{Seed: 11}, HashGate{}, BatchPrioritizedGate{}, ExpertChoiceGate{}}
 	rng := rand.New(rand.NewSource(20240517))
@@ -42,13 +44,26 @@ func TestSplitMatchesRouteOnly(t *testing.T) {
 			}
 			var xs []*tensor.Tensor
 			input := "balanced"
-			switch rng.Intn(3) {
+			switch rng.Intn(4) {
 			case 0:
 				xs = make([]*tensor.Tensor, cfg.Devices)
 				for d := range xs {
 					xs[d] = tensor.Randn(rng, 1, tokens, cfg.Hidden)
 				}
 			case 1:
+				// Tokens scaled by 1e-3 down to 1e-9 put the gate logits
+				// within the top-1 shortcut's 1e-6 margin of each other
+				// or below float32 softmax resolution (rounding ties),
+				// next to rows the shortcut decides.
+				input = "near-tie"
+				xs = make([]*tensor.Tensor, cfg.Devices)
+				for d := range xs {
+					xs[d] = tensor.Randn(rng, 1, tokens, cfg.Hidden)
+					for i := 0; i < tokens; i++ {
+						tensor.Scale(xs[d].Row(i), float32(math.Pow(10, -3-6*rng.Float64())))
+					}
+				}
+			case 2:
 				input = "zipf"
 				xs = SkewedInputs(l, tokens, 0.5+rng.Float64(), rng.Int63())
 			default:
@@ -119,4 +134,20 @@ func TestNewGateLayerMatchesNewLayer(t *testing.T) {
 	if _, err := NewGateLayer(Config{}, 1); err == nil {
 		t.Error("NewGateLayer must reject invalid config")
 	}
+}
+
+// wholeBatchGate is a gate Route has no split replay for: it ranks tokens
+// against the batch like BPR but is neither BPR nor expert choice.
+type wholeBatchGate struct{ SwitchGate }
+
+func (wholeBatchGate) PartialBatchSafe() bool { return false }
+
+func TestRoutePanicsOnUnknownWholeBatchGate(t *testing.T) {
+	l, xs := testLayer(t, 3)
+	defer func() {
+		if recover() == nil {
+			t.Error("Route must refuse a whole-batch gate it cannot replay")
+		}
+	}()
+	l.Route(xs, wholeBatchGate{})
 }

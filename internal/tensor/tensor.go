@@ -77,7 +77,7 @@ func (t *Tensor) Equal(o *Tensor) bool {
 	return true
 }
 
-// MatMul computes a[m,k] x b[k,n] -> [m,n].
+// MatMul computes a[m,k] x b[k,n] -> [m,n], one MatMulRow per row.
 func MatMul(a, b *Tensor) *Tensor {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[1] != b.Shape[0] {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %v x %v", a.Shape, b.Shape))
@@ -85,40 +85,60 @@ func MatMul(a, b *Tensor) *Tensor {
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
 	out := New(m, n)
 	for i := 0; i < m; i++ {
-		ar := a.Data[i*k : (i+1)*k]
-		or := out.Data[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := ar[p]
-			if av == 0 {
-				continue
-			}
-			br := b.Data[p*n : (p+1)*n]
-			for j := 0; j < n; j++ {
-				or[j] += av * br[j]
-			}
-		}
+		MatMulRow(out.Data[i*n:(i+1)*n], a.Data[i*k:(i+1)*k], b)
 	}
 	return out
 }
 
 // MatVec computes w[k,n]^T applied to one row x[k] -> [n].
 func MatVec(x []float32, w *Tensor) []float32 {
-	k, n := w.Shape[0], w.Shape[1]
-	if len(x) != k {
-		panic(fmt.Sprintf("tensor: matvec mismatch %d vs %v", len(x), w.Shape))
-	}
-	out := make([]float32, n)
-	for p := 0; p < k; p++ {
-		xv := x[p]
-		if xv == 0 {
-			continue
-		}
-		wr := w.Data[p*n : (p+1)*n]
-		for j := 0; j < n; j++ {
-			out[j] += xv * wr[j]
-		}
-	}
+	out := make([]float32, w.Cols())
+	MatMulRow(out, x, w)
 	return out
+}
+
+// MatMulRow writes the row x[k] times b[k,n] into dst[n], overwriting it.
+// Every output starts at +0 and accumulates x[p]*b[p,j] over ascending p,
+// skipping p where x[p] == 0 (either sign), with a plain multiply and add
+// per step. That order is the whole contract: an output depends on its
+// input row alone, and the result is the same bits however the rows of a
+// batch are grouped. The kernel keeps a block of eight outputs in
+// registers across the p loop instead of re-reading dst per step.
+func MatMulRow(dst, x []float32, b *Tensor) {
+	k, n := b.Shape[0], b.Shape[1]
+	if len(x) != k || len(dst) != n {
+		panic(fmt.Sprintf("tensor: matmul row mismatch [%d] x %v -> [%d]", len(x), b.Shape, len(dst)))
+	}
+	w := b.Data[:k*n]
+	j := 0
+	for ; j+8 <= n; j += 8 {
+		var c0, c1, c2, c3, c4, c5, c6, c7 float32
+		for p, a := range x {
+			if a == 0 {
+				continue
+			}
+			br := w[p*n+j : p*n+j+8 : p*n+j+8]
+			c0 += a * br[0]
+			c1 += a * br[1]
+			c2 += a * br[2]
+			c3 += a * br[3]
+			c4 += a * br[4]
+			c5 += a * br[5]
+			c6 += a * br[6]
+			c7 += a * br[7]
+		}
+		o := dst[j : j+8 : j+8]
+		o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = c0, c1, c2, c3, c4, c5, c6, c7
+	}
+	for ; j < n; j++ {
+		var c float32
+		for p, a := range x {
+			if a != 0 {
+				c += a * w[p*n+j]
+			}
+		}
+		dst[j] = c
+	}
 }
 
 // GeLU applies the tanh-approximated GeLU in place and returns x.
@@ -189,6 +209,50 @@ func Argmax(x []float32) int {
 		}
 	}
 	return best
+}
+
+// SoftmaxArgmax returns Argmax(Softmax(x)), the top-1 expert of a row of
+// gate logits, and decides it without exponentials whenever it can. Only
+// the fallback runs Softmax, in place on x, so x's contents are
+// unspecified afterwards.
+//
+// Let m be the first maximum of x, at index best. When no entry is NaN, m
+// is finite and every entry before best lies more than 1e-6 below m (in
+// float64), Argmax(Softmax(x)) is best:
+//   - Softmax maps each entry v to float32(float32(exp(float64(v-m)))*inv)
+//     with inv = float32(1/sum), and each of those steps is monotone
+//     non-decreasing in v, so an entry after best (v <= m) gets at most
+//     the probability of best, which is float32(1)*inv = inv; Argmax keeps
+//     the first of equal maxima.
+//   - An entry before best with a float64 gap over 1e-6 has
+//     d = float32(v-m) <= -(1e-6)(1-2^-23), and exp(d) lies more than 16.7
+//     float32 ulps (2^-24 each, just below 1) under 1, so
+//     e = float32(exp(d)) is at least 16 ulps below 1: e <= 1-2^-20.
+//   - sum is 1 plus terms in [0, 1], so inv lies in [1/len(x), 1] and is
+//     normal. e*inv then lies at least inv*2^-20 below inv, which is 8 or
+//     more float32 steps at inv's exponent, so e*inv rounds strictly below
+//     inv and the entry cannot win.
+//
+// The gap is checked once, against the largest entry before best: float64
+// subtraction is monotone, so every smaller entry has a gap at least as
+// large. Any NaN entry, or a maximum of ±Inf, makes Softmax return all NaN
+// (m-m or v-m is NaN somewhere, and so is the sum), and Argmax of an
+// all-NaN row is 0; those rows, and rows with a near tie before best, take
+// the fallback.
+func SoftmaxArgmax(x []float32) int {
+	m, best := x[0], 0
+	below := float32(math.Inf(-1)) // the largest entry before best
+	nan := m != m
+	for i, v := range x[1:] {
+		if v > m {
+			below, m, best = m, v, i+1
+		}
+		nan = nan || v != v
+	}
+	if !nan && !math.IsInf(float64(m), 0) && (best == 0 || float64(m)-float64(below) > 1e-6) {
+		return best
+	}
+	return Argmax(Softmax(x))
 }
 
 // Add accumulates src into dst elementwise.

@@ -204,3 +204,165 @@ func TestNewPanicsOnBadShape(t *testing.T) {
 	}()
 	New(3, 0)
 }
+
+// naiveMatMulRow is the reference row kernel: the axpy loop MatMul ran
+// before it was register-blocked. Each output starts at +0 and accumulates
+// x[p]*b[p,j] over ascending p, skipping zero inputs.
+func naiveMatMulRow(x []float32, b *Tensor) []float32 {
+	n := b.Cols()
+	out := make([]float32, n)
+	for p, xv := range x {
+		if xv == 0 {
+			continue
+		}
+		br := b.Data[p*n : (p+1)*n]
+		for j := range out {
+			out[j] += xv * br[j]
+		}
+	}
+	return out
+}
+
+// TestMatMulRowMatchesNaive pins the blocked kernel to the naive one bit for
+// bit (sign of zero included) over generated shapes: odd widths, k = 1, and
+// inputs and weights salted with +0, -0 and values of every magnitude.
+func TestMatMulRowMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	negZero := float32(math.Copysign(0, -1))
+	salt := func(v []float32) {
+		for i := range v {
+			switch rng.Intn(8) {
+			case 0:
+				v[i] = 0
+			case 1:
+				v[i] = negZero
+			case 2:
+				v[i] *= float32(math.Pow(10, float64(rng.Intn(13)-6)))
+			}
+		}
+	}
+	shapes := [][2]int{{1, 1}, {1, 7}, {16, 64}, {16, 65}, {3, 9}}
+	for trial := 0; trial < 300; trial++ {
+		shapes = append(shapes, [2]int{1 + rng.Intn(20), 1 + rng.Intn(37)})
+	}
+	for _, sh := range shapes {
+		k, n := sh[0], sh[1]
+		b := Randn(rng, 1, k, n)
+		salt(b.Data)
+		x := Randn(rng, 1, 1, k).Data
+		salt(x)
+		want := naiveMatMulRow(x, b)
+		got := make([]float32, n)
+		for j := range got {
+			got[j] = float32(math.NaN()) // every output must be overwritten
+		}
+		MatMulRow(got, x, b)
+		for j := range want {
+			if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+				t.Fatalf("k=%d n=%d: MatMulRow[%d] = %v, naive = %v (x=%v)", k, n, j, got[j], want[j], x)
+			}
+		}
+		a := &Tensor{Shape: []int{1, k}, Data: x}
+		if mm := MatMul(a, b); !bitsEqual(mm.Data, want) {
+			t.Fatalf("k=%d n=%d: MatMul row differs from the naive kernel", k, n)
+		}
+		if mv := MatVec(x, b); !bitsEqual(mv, want) {
+			t.Fatalf("k=%d n=%d: MatVec differs from the naive kernel", k, n)
+		}
+	}
+}
+
+func bitsEqual(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestMatMulRowShapePanic(t *testing.T) {
+	for name, call := range map[string]func(){
+		"short x":   func() { MatMulRow(make([]float32, 2), make([]float32, 2), New(3, 2)) },
+		"short dst": func() { MatMulRow(make([]float32, 1), make([]float32, 3), New(3, 2)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: mismatched MatMulRow must panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+// softmaxArgmaxOracle is what SoftmaxArgmax must equal: the index Argmax
+// picks from a softmax-normalized copy of x.
+func softmaxArgmaxOracle(x []float32) int {
+	return Argmax(Softmax(append([]float32(nil), x...)))
+}
+
+// TestSoftmaxArgmaxMatchesOracle pins the exponential-free top-1 decision
+// to Argmax(Softmax(x)) over generated rows (near ties planted at every
+// scale) and crafted edge cases: adjacent float32 logits, repeated maxima,
+// signed zeros, infinities and NaNs before and after the maximum.
+func TestSoftmaxArgmaxMatchesOracle(t *testing.T) {
+	nan, inf, ninf := float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))
+	negZero := float32(math.Copysign(0, -1))
+	up := func(v float32) float32 { return math.Nextafter32(v, inf) }
+	rows := [][]float32{
+		{0.1, up(0.1)},             // one ulp apart: softmax rounds both to the same probability
+		{up(0.1), 0.1},             // max first
+		{1, up(1)},                 // one ulp apart near 1
+		{0.5, 0.5 + 1e-6, 0.5 - 1}, // gap just at the threshold
+		{3, 3, 3},                  // repeated maxima
+		{-2, 5, 5, 1},              // repeated maxima after a smaller entry
+		{negZero, 0},               // signed zeros tie
+		{0, negZero},
+		{negZero, 0, negZero},
+		{ninf, 1},    // -Inf before the max
+		{1, ninf},    // -Inf after it
+		{ninf, ninf}, // all -Inf: the max is not finite
+		{1, inf, 2},  // +Inf maximum
+		{inf, inf},
+		{nan, 1, 2}, // NaN first
+		{1, nan, 2}, // NaN before the max
+		{1, 2, nan}, // NaN after the max
+		{0, 5, nan},
+		{7},           // one expert
+		{-3e38, 3e38}, // the difference overflows float32
+		{3e38, -3e38},
+	}
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 20000; trial++ {
+		x := make([]float32, 1+rng.Intn(70))
+		scale := math.Pow(10, float64(rng.Intn(16)-10))
+		for i := range x {
+			x[i] = float32(rng.NormFloat64() * scale)
+		}
+		// Plant a near tie below (or at) the maximum: some within the
+		// threshold, some just beyond it, some one ulp away.
+		best := Argmax(x)
+		if i := rng.Intn(len(x)); i != best && rng.Intn(2) == 0 {
+			switch rng.Intn(3) {
+			case 0:
+				x[i] = math.Nextafter32(x[best], ninf)
+			case 1:
+				x[i] = x[best] - float32(rng.Float64()*2e-6)
+			default:
+				x[i] = x[best]
+			}
+		}
+		rows = append(rows, x)
+	}
+	for _, x := range rows {
+		want := softmaxArgmaxOracle(x)
+		if got := SoftmaxArgmax(append([]float32(nil), x...)); got != want {
+			t.Fatalf("SoftmaxArgmax(%v) = %d, Argmax(Softmax) = %d", x, got, want)
+		}
+	}
+}

@@ -1085,9 +1085,20 @@ func (s *Session) proxyShape() proxyShape {
 	}
 }
 
-// proxyTokens is the routing proxy's batch per device: routing fractions
-// depend on token and expert counts, not on hidden width.
-const proxyTokens = 256
+// The routing proxy's batch: proxyTokens per device of proxyHidden-wide
+// tokens drawn from proxySeed. Routing fractions depend on token and
+// expert counts, not on hidden width.
+const (
+	proxyTokens = 256
+	proxyHidden = 16
+	proxySeed   = 777
+)
+
+// proxyNoise is the skewed proxy batches' synthetic noise, drawn once per
+// process: a request adds only its Zipf or hot-expert bias. It keeps the
+// first 256 devices' tokens (4.5 MiB), materialized only as far as a proxy
+// has asked; a larger proxy extends a private copy.
+var proxyNoise = moe.NewTape(proxySeed, proxyHidden, 256*proxyTokens)
 
 // route runs the functional gate once over the shape's proxy batch.
 func (sh proxyShape) route() (*moe.Routing, error) {
@@ -1108,7 +1119,7 @@ func (sh proxyShape) batch() (*moe.Layer, []*tensor.Tensor, error) {
 	}
 	layer, err := moe.NewGateLayer(moe.Config{
 		Devices: sh.devices, ExpertsPerDevice: sh.expertsPerGPU,
-		Capacity: capacity, Hidden: 16, FFN: 16,
+		Capacity: capacity, Hidden: proxyHidden, FFN: 16,
 	}, 12345)
 	if err != nil {
 		return nil, nil, err
@@ -1116,11 +1127,11 @@ func (sh proxyShape) batch() (*moe.Layer, []*tensor.Tensor, error) {
 	var inputs []*tensor.Tensor
 	switch {
 	case sh.skew > 0:
-		inputs = moe.SkewedInputs(layer, proxyTokens, sh.skew, 777)
+		inputs = proxyNoise.SkewedInputs(layer, proxyTokens, sh.skew)
 	case sh.hot > 0:
-		inputs = moe.HotExpertInputs(layer, proxyTokens, sh.hot, 777)
+		inputs = proxyNoise.HotExpertInputs(layer, proxyTokens, sh.hot)
 	default:
-		inputs = makeProxyInputs(sh.devices, proxyTokens, 16)
+		inputs = makeProxyInputs(sh.devices, proxyTokens, proxyHidden)
 	}
 	return layer, inputs, nil
 }
@@ -1271,7 +1282,7 @@ func syntheticProfile(wp *netsim.RoutingProfile, k int, capacityFactor float64) 
 
 // makeProxyInputs builds deterministic token batches for the routing proxy.
 func makeProxyInputs(devices, tokens, hidden int) []*tensor.Tensor {
-	rng := rand.New(rand.NewSource(777))
+	rng := rand.New(rand.NewSource(proxySeed))
 	xs := make([]*tensor.Tensor, devices)
 	for d := range xs {
 		xs[d] = tensor.Randn(rng, 1, tokens, hidden)

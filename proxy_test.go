@@ -2,6 +2,7 @@ package lancet
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -160,4 +161,45 @@ func TestProfileConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// routeProxySeq numbers BenchmarkRouteProxy's iterations across runs, so
+// every iteration routes a shape never seen.
+var routeProxySeq int
+
+// BenchmarkRouteProxy measures one cold proxy gate run at 32 GPUs, the
+// work a never-seen skewed shape costs the routing profile: the proxy
+// batch (the shared noise tape plus the per-request bias) and Route. It
+// covers the Switch gate under Zipf routing and Batch Prioritized Routing
+// under a hot expert. perf_floor.txt ratchets both.
+func BenchmarkRouteProxy(b *testing.B) {
+	bpr := GPT2SMoE(0)
+	bpr.Gate = GateBatchPriority
+	for _, c := range []struct {
+		name string
+		cfg  ModelConfig
+		zipf bool
+	}{{"switch_zipf", GPT2SMoE(0), true}, {"bpr_hot", bpr, false}} {
+		b.Run(c.name, func(b *testing.B) {
+			s, err := NewSession(c.cfg, MustCluster("V100", 32))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				routeProxySeq++
+				// An irrational rotation never repeats a parameter.
+				u := math.Mod(float64(routeProxySeq)*0.6180339887498949, 1)
+				if c.zipf {
+					s.WorkloadSkew = 0.5 + u
+				} else {
+					s.WorkloadHotExpert = 0.15 + 0.45*u
+				}
+				if _, err := s.proxyShape().route(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
