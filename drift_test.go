@@ -1,27 +1,27 @@
 package lancet
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lancet/internal/netsim"
 )
 
-// TestSetWorkloadProfile pins the streamed-workload contract the drift loop
-// depends on (DESIGN.md §16): an installed profile replaces the parametric
-// gate proxy end to end, mismatched shapes are rejected, and nil reverts.
-func TestSetWorkloadProfile(t *testing.T) {
+// TestWorkloadProfile pins the streamed-workload contract the drift loop
+// depends on (DESIGN.md §16): a profile set on the session replaces the
+// parametric gate proxy end to end, capacity clips it, and a profile shaped
+// for another device count is rejected at the first plan or profile.
+func TestWorkloadProfile(t *testing.T) {
 	s, err := NewSession(GPT2SMoE(0), MustCluster("V100", 16))
 	if err != nil {
 		t.Fatal(err)
 	}
 	wp := netsim.ZipfProfile(16, 1.4)
-	if err := s.SetWorkloadProfile(wp); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.StreamedProfile(); got == nil || got.Fingerprint() != wp.Fingerprint() {
-		t.Fatalf("StreamedProfile = %v, want the installed profile", got)
-	}
+	s.WorkloadProfile = wp
 	// RoutingProfile reports the delivered shape: capacity clips the Zipf
 	// profile's over-subscribed destinations, so the hottest device's
 	// ingress share ends at the capacity ceiling, below the raw profile's.
@@ -34,9 +34,6 @@ func TestSetWorkloadProfile(t *testing.T) {
 	}
 	if raw, del := wp.MaxIngressShare(), got.MaxIngressShare(); del >= raw {
 		t.Errorf("delivered hot share %.3f not clipped below offered %.3f", del, raw)
-	}
-	if err := s.SetWorkloadProfile(netsim.ZipfProfile(8, 1.4)); err == nil {
-		t.Error("profile shaped for 8 devices accepted on a 16-GPU cluster")
 	}
 
 	// The streamed workload plans and replays end to end, and the replayed
@@ -54,64 +51,163 @@ func TestSetWorkloadProfile(t *testing.T) {
 		t.Error("streamed workload produced no irregular all-to-all time")
 	}
 
-	// Swapping to a new shape re-derives dispatch statistics; reverting to
-	// nil restores the balanced parametric workload.
-	if err := s.SetWorkloadProfile(netsim.HotExpertProfile(16, 0.5)); err != nil {
-		t.Fatal(err)
-	}
-	got2, err := s.RoutingProfile()
+	bad, err := NewSession(GPT2SMoE(0), MustCluster("V100", 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got2 == nil || got2.Fingerprint() == wp.Fingerprint() {
-		t.Error("profile swap did not take effect")
+	bad.WorkloadProfile = netsim.ZipfProfile(8, 1.4)
+	if _, err := bad.RoutingProfile(); err == nil {
+		t.Error("profile shaped for 8 devices accepted on a 16-GPU cluster")
 	}
-	if err := s.SetWorkloadProfile(nil); err != nil {
-		t.Fatal(err)
-	}
-	if prof, err := s.RoutingProfile(); err != nil || prof != nil {
-		t.Errorf("after revert RoutingProfile = (%v, %v), want (nil, nil)", prof, err)
+	if _, err := bad.Lancet(Options{}); err == nil {
+		t.Error("Lancet planned a profile shaped for 8 devices on a 16-GPU cluster")
 	}
 }
 
-// TestPlanProfileGeneralizesAblation: pricing the DP against the session's
-// own profile via Options.PlanProfile reproduces the default plan, pricing
-// it against the uniform shape reproduces the AssumeUniformRouting
-// ablation, and a mis-shaped profile is rejected — PlanProfile is the
-// stale-plan replay primitive, not a new planning mode.
-func TestPlanProfileGeneralizesAblation(t *testing.T) {
-	s, err := NewSession(GPT2SMoE(0), MustCluster("V100", 16))
-	if err != nil {
-		t.Fatal(err)
+// TestWorkloadFieldsExclusive: a session's workload is said one way. Setting
+// more than one of WorkloadSkew, WorkloadHotExpert and WorkloadProfile is
+// rejected by every plan and profile entry point, and any single one (or
+// none) is accepted.
+func TestWorkloadFieldsExclusive(t *testing.T) {
+	cases := []struct {
+		name      string
+		skew, hot float64
+		profile   bool
+		wantErr   bool
+	}{
+		{"balanced", 0, 0, false, false},
+		{"skew", 1.2, 0, false, false},
+		{"hot", 0, 0.4, false, false},
+		{"profile", 0, 0, true, false},
+		{"skew+hot", 1.2, 0.4, false, true},
+		{"skew+profile", 1.2, 0, true, true},
+		{"hot+profile", 0, 0.4, true, true},
+		{"all three", 1.2, 0.4, true, true},
 	}
-	s.WorkloadSkew = 1.2
-	aware, err := s.Lancet(Options{})
-	if err != nil {
-		t.Fatal(err)
+	entries := []struct {
+		name string
+		call func(*Session) error
+	}{
+		{"Lancet", func(s *Session) error { _, err := s.Lancet(Options{}); return err }},
+		{"Baseline", func(s *Session) error { _, err := s.Baseline(FrameworkRAF); return err }},
+		{"RoutingProfile", func(s *Session) error { _, err := s.RoutingProfile(); return err }},
 	}
-	own, err := s.RoutingProfile()
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range cases {
+		for _, e := range entries {
+			s, err := NewSession(GPT2SMoE(0), MustCluster("V100", 8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.WorkloadSkew, s.WorkloadHotExpert = c.skew, c.hot
+			if c.profile {
+				s.WorkloadProfile = netsim.HotExpertProfile(8, 0.5)
+			}
+			err = e.call(s)
+			if c.wantErr != (err != nil) {
+				t.Errorf("%s via %s: err = %v, want error %t", c.name, e.name, err, c.wantErr)
+			}
+			if err != nil && !strings.Contains(err.Error(), "at most one") {
+				t.Errorf("%s via %s: error %q does not name the rule", c.name, e.name, err)
+			}
+		}
 	}
-	viaOpt, err := s.Lancet(Options{PlanProfile: own})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestStalePlanReplayMatchesStalePlan pins the drift loop's replay
+// primitive over a generated grid of fleet × plan traffic × live traffic,
+// each traffic a streamed profile or a parametric knob: a plan
+// priced for one traffic shape, replayed through
+// Options.FixedPipelines on a session built for another, rewrites the
+// graph exactly as the stale plan did — also when the stale plan chose no
+// pipeline at all. The live session changes only what simulation replays,
+// never the plan.
+func TestStalePlanReplayMatchesStalePlan(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	// draw sets one generated workload on s and names it.
+	draw := func(s *Session) string {
+		gpus := s.Cluster.TotalGPUs()
+		switch rng.Intn(5) {
+		case 0:
+			a := 0.2 + 1.8*rng.Float64()
+			s.WorkloadProfile = netsim.ZipfProfile(gpus, a)
+			return fmt.Sprintf("zipf profile %.3f", a)
+		case 1:
+			h := 0.1 + 0.8*rng.Float64()
+			s.WorkloadProfile = netsim.HotExpertProfile(gpus, h)
+			return fmt.Sprintf("hot profile %.3f", h)
+		case 2:
+			s.WorkloadSkew = 0.2 + 1.3*rng.Float64()
+			return fmt.Sprintf("skew %.3f", s.WorkloadSkew)
+		case 3:
+			s.WorkloadHotExpert = 0.1 + 0.8*rng.Float64()
+			return fmt.Sprintf("hot %.3f", s.WorkloadHotExpert)
+		}
+		return "balanced"
 	}
-	if !reflect.DeepEqual(viaOpt.Pipelines, aware.Pipelines) {
-		t.Errorf("PlanProfile=own pipelines %v != default %v", viaOpt.Pipelines, aware.Pipelines)
+	hash := func(p *Plan) uint64 {
+		h := fnv.New64a()
+		hashGraph(h, p.Graph)
+		return h.Sum64()
 	}
-	blind, err := s.Lancet(Options{AssumeUniformRouting: true})
-	if err != nil {
-		t.Fatal(err)
+	// GPT2-L on 8 A100s plans no pipeline for the planted hot-expert share
+	// 0.8 and some for the others, so an empty stale plan must replay as
+	// empty there, not as a fresh DP.
+	fleets := []struct {
+		cfg     ModelConfig
+		cluster Cluster
+	}{
+		{GPT2SMoE(0), MustCluster("V100", 8)},
+		{GPT2SMoE(0), MustCluster("V100", 16)},
+		{GPT2SMoE(0), MustCluster("V100", 32)},
+		{GPT2LMoE(0), MustCluster("A100", 8)},
 	}
-	uni, err := s.Lancet(Options{PlanProfile: netsim.UniformProfile(16)})
-	if err != nil {
-		t.Fatal(err)
+	pairs, differ, emptyStale := 0, 0, 0
+	for _, fl := range fleets {
+		const shapes = 6
+		names := make([]string, shapes)
+		sessions := make([]*Session, shapes)
+		plans := make([]*Plan, shapes)
+		for i := range sessions {
+			s, err := NewSession(fl.cfg, fl.cluster)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				s.WorkloadHotExpert = 0.8
+				names[i] = "planted hot 0.800"
+			} else {
+				names[i] = draw(s)
+			}
+			if plans[i], err = s.Lancet(Options{}); err != nil {
+				t.Fatal(err)
+			}
+			sessions[i] = s
+		}
+		for i, stale := range plans {
+			want := hash(stale)
+			for j, live := range sessions {
+				replay, err := live.Lancet(Options{FixedPipelines: stale.Pipelines})
+				if err != nil {
+					t.Fatal(err)
+				}
+				pairs++
+				if !reflect.DeepEqual(plans[j].Pipelines, stale.Pipelines) {
+					differ++
+					if len(stale.Pipelines) == 0 {
+						emptyStale++
+					}
+				}
+				if got := hash(replay); got != want {
+					t.Errorf("%s on %s, plan %s replayed on %s: graph hash %016x, stale plan %016x",
+						fl.cfg.Name, fl.cluster.Name, names[i], names[j], got, want)
+				}
+			}
+		}
 	}
-	if !reflect.DeepEqual(uni.Pipelines, blind.Pipelines) {
-		t.Errorf("PlanProfile=uniform pipelines %v != ablation %v", uni.Pipelines, blind.Pipelines)
+	if differ == 0 || emptyStale == 0 {
+		t.Errorf("%d of %d pairs planned different pipelines, %d of them from an empty stale plan; the grid must exercise both",
+			differ, pairs, emptyStale)
 	}
-	if _, err := s.Lancet(Options{PlanProfile: netsim.UniformProfile(8)}); err == nil {
-		t.Error("mis-shaped PlanProfile accepted")
-	}
+	t.Logf("%d replay pairs, %d with a fresh plan different from the stale one (%d stale plans empty)",
+		pairs, differ, emptyStale)
 }

@@ -565,30 +565,6 @@ func (m *Model) ValidateProfile(prof *netsim.RoutingProfile) error {
 	return nil
 }
 
-// InvalidateProfile drops every memoized price derived from the routing
-// profile with the given content fingerprint: its interpolation table and
-// its exact-replay memo entries. The drift loop (DESIGN.md §16) calls this
-// when a session's workload profile is replaced — the superseded traffic
-// shape will not be queried again, and a long-lived serving process must not
-// accumulate one table per drift step forever. Prices keyed on other
-// fingerprints (and the uniform comm tables) are untouched, so concurrent
-// predictions for live profiles never observe an invalidation.
-func (m *Model) InvalidateProfile(fp uint64) {
-	m.skewTabMu.Lock()
-	delete(m.skewTabs, fp)
-	m.skewTabMu.Unlock()
-	for i := range m.skewed {
-		s := &m.skewed[i]
-		s.mu.Lock()
-		for k := range s.m {
-			if k.fp == fp {
-				delete(s.m, k)
-			}
-		}
-		s.mu.Unlock()
-	}
-}
-
 // AllToAllSkewedUs prices an all-to-all whose per-pair traffic follows the
 // routing profile instead of the uniform split — the skew-aware path of
 // DESIGN.md §10. A nil profile falls back to the closed-form uniform model,

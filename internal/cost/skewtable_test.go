@@ -188,71 +188,3 @@ func TestPricerDoesNotDisturbCommCache(t *testing.T) {
 		t.Errorf("PartitionedUs = %v, want PredictComm value %v", got, want)
 	}
 }
-
-// TestInvalidateProfile pins the drift loop's memo-invalidation contract
-// (DESIGN.md §16): dropping a fingerprint removes its interpolation table
-// and exact-replay entries — and nothing else — while re-querying the same
-// profile afterward rebuilds identical prices.
-func TestInvalidateProfile(t *testing.T) {
-	m := newTestModel()
-	g := m.Cluster.TotalGPUs()
-	old := netsim.ZipfProfile(g, 1.4)
-	keep := netsim.HotExpertProfile(g, 0.6)
-
-	// Warm both the table path and the sub-floor exact memo for each.
-	wantOld := m.AllToAllSkewedUs(32<<20, old)
-	wantOldExact := m.AllToAllSkewedUs(512, old)
-	wantKeep := m.AllToAllSkewedUs(32<<20, keep)
-	wantKeepExact := m.AllToAllSkewedUs(512, keep)
-
-	countExact := func(fp uint64) int {
-		n := 0
-		for i := range m.skewed {
-			s := &m.skewed[i]
-			s.mu.Lock()
-			for k := range s.m {
-				if k.fp == fp {
-					n++
-				}
-			}
-			s.mu.Unlock()
-		}
-		return n
-	}
-	if countExact(old.Fingerprint()) == 0 {
-		t.Fatal("warmup left no exact-memo entries for the old profile")
-	}
-
-	m.InvalidateProfile(old.Fingerprint())
-
-	m.skewTabMu.Lock()
-	_, oldTab := m.skewTabs[old.Fingerprint()]
-	_, keepTab := m.skewTabs[keep.Fingerprint()]
-	m.skewTabMu.Unlock()
-	if oldTab {
-		t.Error("invalidated fingerprint still has an interpolation table")
-	}
-	if !keepTab {
-		t.Error("invalidation evicted an unrelated profile's table")
-	}
-	if n := countExact(old.Fingerprint()); n != 0 {
-		t.Errorf("invalidated fingerprint still has %d exact-memo entries", n)
-	}
-	if countExact(keep.Fingerprint()) == 0 {
-		t.Error("invalidation evicted an unrelated profile's exact memo")
-	}
-
-	// Pricing is pure: a rebuild after invalidation reproduces the values.
-	if got := m.AllToAllSkewedUs(32<<20, old); got != wantOld {
-		t.Errorf("rebuilt table price %v != original %v", got, wantOld)
-	}
-	if got := m.AllToAllSkewedUs(512, old); got != wantOldExact {
-		t.Errorf("rebuilt exact price %v != original %v", got, wantOldExact)
-	}
-	if got := m.AllToAllSkewedUs(32<<20, keep); got != wantKeep {
-		t.Errorf("surviving table price %v != original %v", got, wantKeep)
-	}
-	if got := m.AllToAllSkewedUs(512, keep); got != wantKeepExact {
-		t.Errorf("surviving exact price %v != original %v", got, wantKeepExact)
-	}
-}

@@ -24,8 +24,9 @@ func init() {
 // decayed fingerprint moves (every step, once the exponent starts walking);
 // threshold-replan re-plans only when the normalized L1 distance from the
 // profile the live plan was built for exceeds the serving default. Each step
-// simulates the policy's current plan under the *current* traffic — a stale
-// plan replays the new profile, exactly the stale-while-revalidate serving
+// builds one session for its traffic and runs the policy's current plan on
+// it under the *current* traffic — a stale plan replays its pipelines there
+// through Options.FixedPipelines, exactly the stale-while-revalidate serving
 // path — so the mean iteration column is what each policy's plan actually
 // delivers, and the re-plans column is what it costs in DP runs.
 func DriftPlanning(p Params) (*Table, error) {
@@ -43,8 +44,10 @@ func DriftPlanning(p Params) (*Table, error) {
 	// The traffic schedule: per-step gate counts with a triangular exponent
 	// walk 0 -> peakAlpha -> 0, folded through the same decayed accumulator
 	// the /v1/routing loop maintains, so each step's profile is a mixture of
-	// recent history rather than a clean point distribution.
+	// recent history rather than a clean point distribution. Each step's
+	// session is built once for its traffic and shared by every policy.
 	profiles := make([]*netsim.RoutingProfile, steps)
+	sessions := make([]*lancet.Session, steps)
 	acc := netsim.NewDecayedProfile(halfLife)
 	for i := range profiles {
 		frac := float64(i) / float64(steps-1)
@@ -56,7 +59,12 @@ func DriftPlanning(p Params) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		profiles[i] = q
+		sess, err := lancet.NewSession(lancet.GPT2SMoE(0), lancet.MustCluster("V100", devices))
+		if err != nil {
+			return nil, err
+		}
+		sess.WorkloadProfile = q
+		profiles[i], sessions[i] = q, sess
 	}
 
 	policies := []struct {
@@ -85,27 +93,24 @@ func DriftPlanning(p Params) (*Table, error) {
 	}
 	var neverMean float64
 	for _, pol := range policies {
-		sess, err := lancet.NewSession(lancet.GPT2SMoE(0), lancet.MustCluster("V100", devices))
-		if err != nil {
-			return nil, err
-		}
-		var plan *lancet.Plan
+		var live []lancet.PipelineHint
 		var planned *netsim.RoutingProfile
 		replans := 0
 		total := 0.0
 		for i, q := range profiles {
-			if err := sess.SetWorkloadProfile(q); err != nil {
-				return nil, err
-			}
-			if plan == nil || pol.replan(q, planned) {
-				if plan, err = sess.Lancet(lancet.Options{}); err != nil {
-					return nil, err
-				}
+			opts := lancet.Options{FixedPipelines: live}
+			if planned == nil || pol.replan(q, planned) {
+				opts.FixedPipelines = nil
 				planned = q
 				if i > 0 {
 					replans++
 				}
 			}
+			plan, err := sessions[i].Lancet(opts)
+			if err != nil {
+				return nil, err
+			}
+			live = plan.Pipelines
 			r, err := plan.Simulate(17)
 			if err != nil {
 				return nil, err

@@ -69,31 +69,13 @@ func HeteroPlanning(p Params) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		var opts lancet.Options
-		blindOpts := opts
-		blindOpts.AssumeUniformHardware = true
-		blind, err := sess.Lancet(blindOpts)
+		c, err := planBlindVsAware(sess, lancet.Options{AssumeUniformHardware: true}, lancet.Options{})
 		if err != nil {
 			return nil, err
 		}
-		aware, err := sess.Lancet(opts)
-		if err != nil {
-			return nil, err
-		}
-		rb, err := blind.SimulateN(3, 17)
-		if err != nil {
-			return nil, err
-		}
-		ra, err := aware.SimulateN(3, 17)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%dxA100+%dxV100", mix.fastNodes, mix.slowNodes),
-			fmt.Sprintf("%.1f", rb.MeanMs),
-			fmt.Sprintf("%.1f", ra.MeanMs),
-			fmt.Sprintf("%d/%d", blind.PipelineRanges, aware.PipelineRanges),
-			fmt.Sprintf("%.1f", ra.MeanReport.StragglerClassMs["V100"]),
-			fmt.Sprintf("%.3fx", rb.MeanMs/ra.MeanMs))
+		blindMs, awareMs, pipelines, speedup := c.cells()
+		t.AddRow(fmt.Sprintf("%dxA100+%dxV100", mix.fastNodes, mix.slowNodes), blindMs, awareMs, pipelines,
+			fmt.Sprintf("%.1f", c.awareRs.MeanReport.StragglerClassMs["V100"]), speedup)
 	}
 	return t, nil
 }

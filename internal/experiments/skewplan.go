@@ -42,27 +42,12 @@ func SkewPlanning(p Params) (*Table, error) {
 			return nil, err
 		}
 		sess.WorkloadSkew = alpha
-		blind, err := sess.Lancet(lancet.Options{AssumeUniformRouting: true})
+		c, err := planBlindVsAware(sess, lancet.Options{AssumeUniformRouting: true}, lancet.Options{})
 		if err != nil {
 			return nil, err
 		}
-		aware, err := sess.Lancet(lancet.Options{})
-		if err != nil {
-			return nil, err
-		}
-		rb, err := blind.SimulateN(3, 17)
-		if err != nil {
-			return nil, err
-		}
-		ra, err := aware.SimulateN(3, 17)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%.1f", alpha),
-			fmt.Sprintf("%.1f", rb.MeanMs),
-			fmt.Sprintf("%.1f", ra.MeanMs),
-			fmt.Sprintf("%d/%d", blind.PipelineRanges, aware.PipelineRanges),
-			fmt.Sprintf("%.3fx", rb.MeanMs/ra.MeanMs))
+		blindMs, awareMs, pipelines, speedup := c.cells()
+		t.AddRow(fmt.Sprintf("%.1f", alpha), blindMs, awareMs, pipelines, speedup)
 	}
 	return t, nil
 }

@@ -50,30 +50,13 @@ func TopologyPlanning(p Params) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		opts := lancet.Options{GroupUs: 1000}
-		blindOpts := opts
-		blindOpts.AssumeFlatTopology = true
-		blind, err := sess.Lancet(blindOpts)
+		c, err := planBlindVsAware(sess,
+			lancet.Options{GroupUs: 1000, AssumeFlatTopology: true}, lancet.Options{GroupUs: 1000})
 		if err != nil {
 			return nil, err
 		}
-		aware, err := sess.Lancet(opts)
-		if err != nil {
-			return nil, err
-		}
-		rb, err := blind.SimulateN(3, 17)
-		if err != nil {
-			return nil, err
-		}
-		ra, err := aware.SimulateN(3, 17)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%g:1", oversub),
-			fmt.Sprintf("%.1f", rb.MeanMs),
-			fmt.Sprintf("%.1f", ra.MeanMs),
-			fmt.Sprintf("%d/%d", blind.PipelineRanges, aware.PipelineRanges),
-			fmt.Sprintf("%.3fx", rb.MeanMs/ra.MeanMs))
+		blindMs, awareMs, pipelines, speedup := c.cells()
+		t.AddRow(fmt.Sprintf("%g:1", oversub), blindMs, awareMs, pipelines, speedup)
 	}
 	return t, nil
 }

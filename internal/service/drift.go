@@ -81,17 +81,15 @@ type planSnapshot struct {
 }
 
 // driftSession is one training session's drift loop (DESIGN.md §16),
-// keyed by the plan key of its configuration. The accumulator and the
-// lazily built dedicated lancet session live behind mu; the published
-// plan is lock-free so serving never waits on an ingest or a re-plan.
-// Evicting one from the store only forgets its decayed history — the next
-// update recreates it and re-plans from scratch.
+// keyed by the plan key of its configuration. The accumulator lives behind
+// mu; the published plan is lock-free so serving never waits on an ingest
+// or a re-plan. Evicting one from the store only forgets its decayed
+// history — the next update recreates it and re-plans from scratch.
 type driftSession struct {
 	c *canonical
 
-	mu   sync.Mutex
-	acc  *netsim.DecayedProfile
-	sess *lancet.Session
+	mu  sync.Mutex
+	acc *netsim.DecayedProfile
 
 	plan atomic.Pointer[planSnapshot]
 
@@ -101,33 +99,11 @@ type driftSession struct {
 	replanning atomic.Bool
 }
 
-// session returns the drift session's dedicated lancet session with the
-// given traffic profile installed, building it on first use. Callers hold
-// the replanning flag, so at most one computation touches the session at
-// a time; only the field publication needs mu.
-func (d *driftSession) session(cur *netsim.RoutingProfile) (*lancet.Session, error) {
-	d.mu.Lock()
-	sess := d.sess
-	d.mu.Unlock()
-	if sess == nil {
-		var err error
-		if sess, err = buildSession(d.c); err != nil {
-			return nil, err
-		}
-		d.mu.Lock()
-		d.sess = sess
-		d.mu.Unlock()
-	}
-	if err := sess.SetWorkloadProfile(cur); err != nil {
-		return nil, err
-	}
-	return sess, nil
-}
-
 // buildSession constructs the lancet session a canonical request needs:
-// cluster (uniform or hetero), topology, parametric workload knobs.
-// canonicalize already validated every ingredient; rebuilding here is
-// cheap and keeps the cache key the single source of truth.
+// cluster (uniform or hetero), topology, and the workload — the parametric
+// routing knobs, or a drift re-plan's streamed profile. canonicalize
+// already validated every ingredient; rebuilding here is cheap and keeps
+// the cache key the single source of truth.
 func buildSession(c *canonical) (*lancet.Session, error) {
 	var cluster lancet.Cluster
 	var err error
@@ -148,10 +124,12 @@ func buildSession(c *canonical) (*lancet.Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch c.routing.Kind {
-	case RoutingZipf:
+	switch {
+	case c.profile != nil:
+		sess.WorkloadProfile = c.profile
+	case c.routing.Kind == RoutingZipf:
 		sess.WorkloadSkew = c.routing.Alpha
-	case RoutingHot:
+	case c.routing.Kind == RoutingHot:
 		sess.WorkloadHotExpert = c.routing.HotShare
 	}
 	return sess, nil
@@ -179,11 +157,13 @@ func (s *Service) driftSessionFor(c *canonical) (*driftSession, error) {
 // newer snapshot already landed. It serves through the shared two-tier
 // plan store and singleflight (resultForWith), so re-plans are written
 // through to disk, restored on restart, and oscillating traffic that
-// returns to a planned shape hits the store instead of recomputing.
+// returns to a planned shape hits the store instead of recomputing. A
+// store miss builds a session for cur alone, outside the session pool, so
+// drift traffic never evicts pooled parametric sessions.
 func (s *Service) replanOnce(d *driftSession, cur *netsim.RoutingProfile, builtAt int64) (*planSnapshot, error) {
 	cc := d.c.withProfile(cur)
 	res, _, err := s.resultForWith(cc, cc.framework, func() (*lancet.Session, error) {
-		return d.session(cur)
+		return buildSession(cc)
 	})
 	if err != nil {
 		return nil, err

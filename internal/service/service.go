@@ -214,9 +214,9 @@ func (s *Service) resultFor(c *canonical, fw string) (*Result, string, error) {
 
 // resultForWith is resultFor with an explicit session provider: the drift
 // loop serves its re-plans through the same two-tier store and singleflight
-// (write-through, restart-restorable), but against a dedicated session
-// whose workload is a streamed profile rather than a pooled parametric one
-// (DESIGN.md §16). sessionFn runs only on a full store miss.
+// (write-through, restart-restorable), but against a session built for one
+// streamed profile rather than a pooled parametric one (DESIGN.md §16).
+// sessionFn runs only on a full store miss.
 func (s *Service) resultForWith(c *canonical, fw string, sessionFn func() (*lancet.Session, error)) (r *Result, state string, err error) {
 	defer func() {
 		if p := recover(); p != nil {

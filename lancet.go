@@ -272,22 +272,15 @@ type Options struct {
 	// contention-blind planner ablation: a plan priced for the full spine
 	// under-partitions the inter-rack all-to-alls it will actually wait on.
 	AssumeSoleTenancy bool
-	// PlanProfile, when non-nil, makes the partition DP price all-to-alls
-	// against this routing profile instead of the session workload's own,
-	// while simulation still replays the session's real traffic. It
-	// generalizes AssumeUniformRouting (which is PlanProfile = the uniform
-	// shape) to arbitrary stale shapes, and is what lets the drift
-	// experiment replay today's traffic under a plan priced for
-	// yesterday's (DESIGN.md §16). Takes precedence over
-	// AssumeUniformRouting when both are set. The profile must be shaped
-	// for the session's device count.
-	PlanProfile *netsim.RoutingProfile
 	// FixedPipelines replays a previous plan's chosen pipelines verbatim
 	// instead of running the partition DP: each range keeps its partition
 	// count (clamped to what the graph admits) and no partition decisions
-	// are revisited. This is the degraded-replay half of a node-loss
-	// what-if — "how does the stale plan behave on this fleet" (DESIGN.md
-	// §17). Replay is exact: it prices the given ranges, it never searches.
+	// are revisited. This is how a stale plan runs on a changed world: the
+	// degraded-replay half of a node-loss what-if (DESIGN.md §17), and a
+	// plan priced for yesterday's traffic replayed on a session built for
+	// today's (DESIGN.md §16). Replay is exact: it prices the given ranges,
+	// it never searches. Any non-nil slice replays, so an empty one (a plan
+	// that chose no pipelines) stays unpipelined; nil runs the DP.
 	FixedPipelines []PipelineHint
 	// LostNodes lists global node indices to drop in a node-loss what-if
 	// (DESIGN.md §17). Session.Lancet ignores it — planning always targets
@@ -300,7 +293,7 @@ type Options struct {
 // PipelineHint is one chosen pipeline of a plan: the instruction range
 // (input-graph program order, inclusive) and its partition count. Plans
 // report them in Plan.Pipelines, and Options.FixedPipelines replays them
-// verbatim on a degraded fleet (DESIGN.md §17).
+// verbatim on a degraded fleet or a changed workload (DESIGN.md §16, §17).
 type PipelineHint struct {
 	Start int `json:"start"`
 	End   int `json:"end"`
@@ -315,7 +308,13 @@ type PipelineHint struct {
 // only mutable state and it is mutex-guarded; the shared cost model is
 // lock-striped). This is what lets cmd/lancet plan frameworks in parallel
 // and lets the serving layer (cmd/lancet-serve) pool sessions across
-// requests. WorkloadSkew must be set before the first plan or profile.
+// requests.
+//
+// The workload is fixed when the session is built: set at most one of
+// WorkloadSkew, WorkloadHotExpert and WorkloadProfile, before the first
+// plan or profile. A session whose workload changes is a new session; a
+// plan priced for the old workload runs on it through
+// Options.FixedPipelines.
 type Session struct {
 	Config  ModelConfig
 	Cluster Cluster
@@ -329,24 +328,24 @@ type Session struct {
 	WorkloadSkew float64
 
 	// WorkloadHotExpert biases the workload so roughly this fraction of all
-	// tokens targets one hot expert (0 = balanced; exclusive with
-	// WorkloadSkew, which takes precedence when both are set). It is the
+	// tokens targets one hot expert (0 = balanced). It is the
 	// single-hot-spot companion to WorkloadSkew's Zipf tail.
 	WorkloadHotExpert float64
 
+	// WorkloadProfile, when non-nil, replaces the parametric gate-proxy
+	// workload entirely: planning prices and simulation replay this
+	// streamed traffic shape, clipped by expert capacity (DESIGN.md §16).
+	// It must be shaped for the cluster's device count.
+	WorkloadProfile *netsim.RoutingProfile
+
 	costRAF *cost.Model
 
-	mu        sync.Mutex              // guards profiles, routing, costBlind and workloadProfile; plans of one session may run concurrently
-	profiles  map[int]*routingProfile // cache: micro-batch count -> profile
-	costBlind map[string]*cost.Model  // lazy: planner-blindness ablation models (flat topology, uniform hardware)
+	mu       sync.Mutex              // guards profiles and routing; plans of one session may run concurrently
+	profiles map[int]*routingProfile // cache: micro-batch count -> profile
 	// routing is the parametric proxy's one gate run, for routingShape;
 	// profile derives every micro-batch split from it.
 	routing      *moe.Routing
 	routingShape proxyShape
-	// workloadProfile, when set via SetWorkloadProfile, replaces the
-	// parametric gate-proxy workload entirely: planning prices and
-	// simulation replays this streamed traffic shape (DESIGN.md §16).
-	workloadProfile *netsim.RoutingProfile
 }
 
 // routingProfile is what one functional gate run over a proxy batch tells
@@ -419,8 +418,9 @@ type Plan struct {
 	// once (DESIGN.md §14).
 	DPEvaluations int
 	// Pipelines lists the chosen pipelines (instruction range + partition
-	// count): the plan shape a node-loss what-if replays through
-	// Options.FixedPipelines (DESIGN.md §17).
+	// count): the plan shape a stale-plan replay passes to
+	// Options.FixedPipelines (DESIGN.md §16, §17). It is non-nil whenever
+	// the partition pass ran, even if it chose no pipeline.
 	Pipelines []PipelineHint
 	// RhoUsed is the maximum-partition limit actually used after the OOM
 	// fallback (paper Sec. 7: rho=8, reduced to 4 then 2 when partition
@@ -432,35 +432,22 @@ type Plan struct {
 	spec     baselines.Spec
 	overlaps bool // uses Lancet's irregular all-to-all implementation
 
-	// Irregular-override maps are derived once per (plan, streamed-traffic
-	// fingerprint): the graph is immutable after planning, so the overrides
-	// only change when SetWorkloadProfile swaps the session's traffic.
-	// Between swaps they are shared by every PredictUs / Simulate call, so
-	// concurrent simulations of one plan don't re-walk the routing profiles
-	// (DESIGN.md §13); after a swap the next simulation re-derives them, so
-	// a stale plan replays the *new* traffic (DESIGN.md §16).
-	ovMu    sync.Mutex
-	ovDone  bool
-	ovFP    uint64
+	// Irregular-override maps are derived once per plan: the graph and the
+	// session's workload are both fixed, so every PredictUs / Simulate call
+	// shares them and concurrent simulations of one plan don't re-walk the
+	// routing profiles (DESIGN.md §13).
+	ovOnce  sync.Once
 	ovBytes map[int]int64
 	ovDur   map[int]float64
 	ovErr   error
 }
 
 // overrides resolves the plan's irregular all-to-all overrides, computing
-// them on first use and again whenever the session's streamed workload
-// profile has changed since they were derived.
+// them on first use.
 func (p *Plan) overrides() (map[int]int64, map[int]float64, error) {
-	fp := uint64(0)
-	if wp := p.sess.StreamedProfile(); wp != nil {
-		fp = wp.Fingerprint()
-	}
-	p.ovMu.Lock()
-	defer p.ovMu.Unlock()
-	if !p.ovDone || p.ovFP != fp {
+	p.ovOnce.Do(func() {
 		p.ovBytes, p.ovDur, p.ovErr = p.sess.irregularOverrides(p.Graph)
-		p.ovDone, p.ovFP = true, fp
-	}
+	})
 	return p.ovBytes, p.ovDur, p.ovErr
 }
 
@@ -478,45 +465,26 @@ func (s *Session) CostStats() CostStats { return s.costRAF.Stats() }
 // skewedWorkload reports whether the session's routing deviates from the
 // balanced workload — via the parametric skew knobs or a streamed profile.
 func (s *Session) skewedWorkload() bool {
-	return s.WorkloadSkew > 0 || s.WorkloadHotExpert > 0 || s.StreamedProfile() != nil
+	return s.WorkloadSkew > 0 || s.WorkloadHotExpert > 0 || s.WorkloadProfile != nil
 }
 
-// StreamedProfile returns the streamed workload profile installed by
-// SetWorkloadProfile, or nil when the session routes its parametric
-// workload.
-func (s *Session) StreamedProfile() *netsim.RoutingProfile {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.workloadProfile
-}
-
-// SetWorkloadProfile installs a streamed routing profile as the session's
-// workload (DESIGN.md §16): planning prices against p's traffic shape and
-// simulation replays it, replacing the parametric gate proxy entirely. The
-// drift loop calls this each time a session's decayed traffic snapshot
-// supersedes the profile the live plan was built from; passing nil reverts
-// to the parametric workload. The superseded fingerprint's memoized prices
-// are dropped from the session's cost models — a long-lived serving
-// session must not accumulate one interpolation table per drift step — so
-// plans computed before the swap replay the *new* traffic on their next
-// simulation, which is exactly the stale-plan-under-fresh-traffic replay
-// the drift experiment measures.
-func (s *Session) SetWorkloadProfile(p *netsim.RoutingProfile) error {
-	if err := s.costRAF.ValidateProfile(p); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old := s.workloadProfile; old != nil && (p == nil || p.Fingerprint() != old.Fingerprint()) {
-		s.costRAF.InvalidateProfile(old.Fingerprint())
-		for _, m := range s.costBlind {
-			m.InvalidateProfile(old.Fingerprint())
+// validateWorkload rejects a session whose workload is said more than one
+// way, or whose streamed profile is shaped for another device count. Every
+// plan and profile entry point runs it first.
+func (s *Session) validateWorkload() error {
+	set := 0
+	for _, on := range []bool{s.WorkloadSkew > 0, s.WorkloadHotExpert > 0, s.WorkloadProfile != nil} {
+		if on {
+			set++
 		}
 	}
-	s.workloadProfile = p
-	// Cached per-k dispatch statistics describe the superseded workload.
-	s.profiles = make(map[int]*routingProfile)
-	s.routing = nil
+	if set > 1 {
+		return fmt.Errorf("lancet: set at most one of WorkloadSkew, WorkloadHotExpert and WorkloadProfile (skew %g, hot %g, profile set %t)",
+			s.WorkloadSkew, s.WorkloadHotExpert, s.WorkloadProfile != nil)
+	}
+	if err := s.costRAF.ValidateProfile(s.WorkloadProfile); err != nil {
+		return fmt.Errorf("lancet: workload profile: %w", err)
+	}
 	return nil
 }
 
@@ -529,6 +497,9 @@ func (s *Session) SetWorkloadProfile(p *netsim.RoutingProfile) error {
 // destinations — which is the shape planning prices and simulation
 // replays.
 func (s *Session) RoutingProfile() (*netsim.RoutingProfile, error) {
+	if err := s.validateWorkload(); err != nil {
+		return nil, err
+	}
 	prof, _, err := s.routingContext()
 	return prof, err
 }
@@ -555,10 +526,10 @@ func (s *Session) routingContext() (*netsim.RoutingProfile, float64, error) {
 // blindCost returns the cost model a partially blind planner prices with:
 // the session's cluster stripped of its topology (flat fabric), its class
 // mix (uniform hardware), its spine contention (sole tenancy), or any
-// combination. Models are built lazily once per blindness combination; when
-// a requested blindness changes nothing about the cluster, the shared model
-// is returned. Flat subsumes sole: stripping the whole topology also strips
-// its tenant share.
+// combination. When a requested blindness changes nothing about the
+// cluster, the shared model is returned; otherwise each plan builds its own
+// model of the projected cluster, as Baseline does. Flat subsumes sole:
+// stripping the whole topology also strips its tenant share.
 func (s *Session) blindCost(flat, uniform, sole bool) *cost.Model {
 	flat = flat && !s.Cluster.FlatTopology()
 	uniform = uniform && s.Cluster.Heterogeneous()
@@ -567,34 +538,23 @@ func (s *Session) blindCost(flat, uniform, sole bool) *cost.Model {
 		return s.costRAF
 	}
 	cl := s.Cluster
-	key := ""
 	if flat {
 		cl = cl.Flat()
-		key = "flat"
 	}
 	if uniform {
 		cl = cl.Uniform()
-		key += "+uniform"
 	}
 	if sole {
 		cl = cl.SoleTenant()
-		key += "+sole"
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.costBlind == nil {
-		s.costBlind = make(map[string]*cost.Model)
-	}
-	if m, ok := s.costBlind[key]; ok {
-		return m
-	}
-	m := cost.NewModel(cl)
-	s.costBlind[key] = m
-	return m
+	return cost.NewModel(cl)
 }
 
 // Lancet runs both optimization passes and returns the optimized plan.
 func (s *Session) Lancet(opts Options) (*Plan, error) {
+	if err := s.validateWorkload(); err != nil {
+		return nil, err
+	}
 	start := time.Now()
 	g := s.Built.Graph
 	plan := &Plan{
@@ -639,7 +599,7 @@ func (s *Session) Lancet(opts Options) (*Plan, error) {
 			GatePartialBatch: s.Config.Gate.SupportsPartialBatch(),
 		}
 		var fixed []partition.Range
-		if len(opts.FixedPipelines) > 0 {
+		if opts.FixedPipelines != nil {
 			fixed = make([]partition.Range, len(opts.FixedPipelines))
 			for i, h := range opts.FixedPipelines {
 				fixed[i] = partition.Range{Start: h.Start, End: h.End, K: h.K}
@@ -652,12 +612,6 @@ func (s *Session) Lancet(opts Options) (*Plan, error) {
 		if opts.AssumeUniformRouting && prof != nil {
 			// Keep the routed volume, erase the traffic shape.
 			prof = netsim.UniformProfile(s.Cluster.TotalGPUs())
-		}
-		if opts.PlanProfile != nil {
-			if err := planCost.ValidateProfile(opts.PlanProfile); err != nil {
-				return nil, fmt.Errorf("lancet: plan profile: %w", err)
-			}
-			prof = opts.PlanProfile
 		}
 		popts.Profile, popts.PayloadFraction = prof, frac
 		if popts.GroupUs == 0 {
@@ -688,7 +642,7 @@ func (s *Session) Lancet(opts Options) (*Plan, error) {
 				g = res.Graph
 				plan.PipelineRanges = len(res.Ranges)
 				plan.PipelineKs = plan.PipelineKs[:0]
-				plan.Pipelines = plan.Pipelines[:0]
+				plan.Pipelines = make([]PipelineHint, 0, len(res.Ranges))
 				for _, r := range res.Ranges {
 					plan.PipelineKs = append(plan.PipelineKs, r.K)
 					plan.Pipelines = append(plan.Pipelines, PipelineHint{Start: r.Start, End: r.End, K: r.K})
@@ -741,6 +695,9 @@ func (s *Session) autoGroupUs(cm *cost.Model) float64 {
 // FrameworkDeepSpeed, FrameworkRAF, FrameworkTutel or FrameworkFasterMoE.
 // Passing FrameworkLancet delegates to Lancet with default Options.
 func (s *Session) Baseline(framework string) (*Plan, error) {
+	if err := s.validateWorkload(); err != nil {
+		return nil, err
+	}
 	var spec baselines.Spec
 	switch framework {
 	case FrameworkDeepSpeed:
@@ -1070,8 +1027,6 @@ func (m *lruMemo) len() int {
 }
 
 // proxyShape returns the shape of the session's parametric routing proxy.
-// It reads the skew knobs directly: callers hold s.mu, which skewedWorkload
-// would re-lock.
 func (s *Session) proxyShape() proxyShape {
 	devices := s.Cluster.TotalGPUs()
 	if devices > 16 && s.WorkloadSkew <= 0 && s.WorkloadHotExpert <= 0 {
@@ -1147,8 +1102,8 @@ func (s *Session) profile(k int) (*routingProfile, error) {
 	if p, ok := s.profiles[k]; ok {
 		return p, nil
 	}
-	if s.workloadProfile != nil {
-		p := syntheticProfile(s.workloadProfile, k, s.Config.CapacityFactor)
+	if s.WorkloadProfile != nil {
+		p := syntheticProfile(s.WorkloadProfile, k, s.Config.CapacityFactor)
 		s.profiles[k] = p
 		return p, nil
 	}

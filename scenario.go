@@ -77,7 +77,7 @@ func normalizeLostNodes(lost []int) []int {
 // count. Losing zero nodes degenerates to an exact replay: all three
 // latencies coincide.
 func (s *Session) NodeLoss(base *Plan, opts Options, seed int64) (*NodeLossReport, error) {
-	if s.StreamedProfile() != nil {
+	if s.WorkloadProfile != nil {
 		return nil, fmt.Errorf("lancet: node-loss what-if is not supported with a streamed workload profile (histogram is shaped for the intact fleet)")
 	}
 	lost := normalizeLostNodes(opts.LostNodes)
