@@ -82,12 +82,6 @@ type Model struct {
 	// skewed replay instead of being rebuilt per call (DESIGN.md §13).
 	net *netsim.Network
 
-	// skewTabs holds the per-routing-profile interpolation tables that
-	// replace repeated netsim replays in AllToAllSkewedUs, keyed by profile
-	// fingerprint and built lazily (see skewtable.go).
-	skewTabMu sync.Mutex
-	skewTabs  map[uint64]*skewTableEntry
-
 	// uniReplay memoizes link-level replays of uniform matrices (the
 	// irregular size-exchange phase) on their per-device payload.
 	uniReplay shard[int64]
@@ -335,12 +329,12 @@ func (m *Model) a2aTierUs(bytesPerDevice int64, devices int) [hw.NumTiers]float6
 	intraBytes := perPeer * intraPeers
 	interBytes := perPeer * interPeers // NIC carries rack and spine traffic alike
 	spineBytes := perPeer * spinePeers
-	tiers[hw.TierNVLink] = intraBytes / (effBW(c.MinNVLinkGBs(), intraBytes) * 1e9) * 1e6
+	tiers[hw.TierNVLink] = intraBytes / (netsim.EffBW(c.MinNVLinkGBs(), intraBytes) * 1e9) * 1e6
 	if interPeers > 0 {
-		tiers[hw.TierNIC] = interBytes / (effBW(c.PerGPUNICGBs(), interBytes) * 1e9) * 1e6
+		tiers[hw.TierNIC] = interBytes / (netsim.EffBW(c.PerGPUNICGBs(), interBytes) * 1e9) * 1e6
 	}
 	if spinePeers > 0 {
-		tiers[hw.TierSpine] = spineBytes / (effBW(c.SpineGBsPerGPU(), spineBytes) * 1e9) * 1e6
+		tiers[hw.TierSpine] = spineBytes / (netsim.EffBW(c.SpineGBsPerGPU(), spineBytes) * 1e9) * 1e6
 	}
 	return tiers
 }
@@ -410,7 +404,7 @@ func (m *Model) groundHierarchicalUs(bytes int64, devices int, directions float6
 	alpha := 20.0 + 1.5*math.Log2(float64(devices))
 
 	// Intra-node reduce-scatter/all-gather over NVLink.
-	intra := directions * vol * float64(gpn-1) / float64(gpn) / (effBW(c.MinNVLinkGBs(), vol) * 1e9) * 1e6
+	intra := directions * vol * float64(gpn-1) / float64(gpn) / (netsim.EffBW(c.MinNVLinkGBs(), vol) * 1e9) * 1e6
 	if gpn <= 1 {
 		intra = 0
 	}
@@ -418,26 +412,15 @@ func (m *Model) groundHierarchicalUs(bytes int64, devices int, directions float6
 	rack := 0.0
 	shard := vol / float64(gpn)
 	if rackNodes > 1 {
-		rack = directions * shard * float64(rackNodes-1) / float64(rackNodes) / (effBW(c.PerGPUNICGBs(), shard) * 1e9) * 1e6
+		rack = directions * shard * float64(rackNodes-1) / float64(rackNodes) / (netsim.EffBW(c.PerGPUNICGBs(), shard) * 1e9) * 1e6
 	}
 	// Inter-rack ring over the rack-sharded slice, across the spine.
 	spine := 0.0
 	if racks > 1 {
 		rackShard := shard / float64(rackNodes)
-		spine = directions * rackShard * float64(racks-1) / float64(racks) / (effBW(c.SpineGBsPerGPU(), rackShard) * 1e9) * 1e6
+		spine = directions * rackShard * float64(racks-1) / float64(racks) / (netsim.EffBW(c.SpineGBsPerGPU(), rackShard) * 1e9) * 1e6
 	}
 	return alpha + intra + rack + spine
-}
-
-// effBW models small-message bandwidth ramp-up: achieved = peak * b/(b+b0).
-//
-//lancet:hotpath
-func effBW(peakGBs, bytes float64) float64 {
-	const rampBytes = 256 * 1024
-	if bytes <= 0 {
-		return peakGBs
-	}
-	return peakGBs * bytes / (bytes + rampBytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -570,10 +553,9 @@ func (m *Model) ValidateProfile(prof *netsim.RoutingProfile) error {
 // DESIGN.md §10. A nil profile falls back to the closed-form uniform model,
 // and a uniform profile reproduces the closed form within tolerance (the
 // equivalence the tests pin), so callers can thread one code path for both
-// workloads. Since the zero-alloc refactor (DESIGN.md §13) the price comes
-// from the profile's lazily built interpolation table rather than a full
-// link-level replay per distinct payload; payloads below the table floor
-// keep the exact-replay memo.
+// workloads. The price is the exact link-level replay of the profile's
+// transfer matrix, memoized on (bytes, profile fingerprint), so repeated
+// queries under one workload pay the simulation once per distinct payload.
 func (m *Model) AllToAllSkewedUs(bytesPerDevice int64, prof *netsim.RoutingProfile) float64 {
 	if prof == nil {
 		return m.groundAllToAllUs(bytesPerDevice, m.Cluster.TotalGPUs())
@@ -584,79 +566,43 @@ func (m *Model) AllToAllSkewedUs(bytesPerDevice int64, prof *netsim.RoutingProfi
 	if bytesPerDevice <= 0 {
 		return 0
 	}
-	if bytesPerDevice < skewTableMinBytes {
-		return m.skewedExactUs(bytesPerDevice, prof)
+	key := skewKey{bytes: bytesPerDevice, fp: prof.Fingerprint()}
+	s := &m.skewed[key.shard()]
+	if t, ok := s.get(key); ok {
+		m.hits.Add(1)
+		return t
 	}
-	t := m.skewTableFor(prof)
-	m.hits.Add(1)
-	return t.lookup(bytesPerDevice)
+	// Concurrent first queries of one key replay the same deterministic
+	// drain, so a racing double-put stores the same value.
+	t, err := m.net.AllToAllUs(prof.Matrix(bytesPerDevice))
+	if err != nil {
+		// A validated profile emits a square, non-negative matrix; anything
+		// else is a programming error, not a workload property.
+		panic(fmt.Sprintf("cost: netsim rejected a profile matrix: %v", err))
+	}
+	s.put(key, t)
+	m.misses.Add(1)
+	return t
 }
 
-// A2APricer prices skewed and partitioned all-to-alls for one routing
-// profile without touching the model's locked caches: the partition DP
-// acquires one per window and then prices every candidate instruction
-// through plain table interpolation — no shard round-trip, no allocation
-// (DESIGN.md §13). The zero value is not usable; obtain one from NewA2APricer.
-type A2APricer struct {
-	m    *Model
-	prof *netsim.RoutingProfile
-	tab  *skewTable
-}
-
-// NewA2APricer validates the profile once and resolves (building if needed)
-// its interpolation table up front, so every subsequent lookup on the
-// returned pricer is lock-free and allocation-free. A nil profile yields a
-// pricer whose SkewedUs falls back to the closed-form uniform model, same
-// as AllToAllSkewedUs.
-func (m *Model) NewA2APricer(prof *netsim.RoutingProfile) A2APricer {
-	p := A2APricer{m: m, prof: prof}
-	if prof != nil {
-		if err := m.ValidateProfile(prof); err != nil {
-			panic(err.Error())
-		}
-		p.tab = m.skewTableFor(prof)
+// UniformReplayUs prices a *uniform* all-to-all of bytesPerDevice on the
+// link-level simulator (not the closed form) and memoizes the result — the
+// replay bound the session's irregular-override path charges for the
+// size-exchange phase. Byte-identical to draining
+// netsim.UniformMatrix(devices, bytesPerDevice) on a fresh Network.
+func (m *Model) UniformReplayUs(bytesPerDevice int64) float64 {
+	s := &m.uniReplay
+	if t, ok := s.get(bytesPerDevice); ok {
+		m.hits.Add(1)
+		return t
 	}
-	return p
-}
-
-// Profiled reports whether the pricer carries a routing profile (skew-aware
-// pricing) or falls back to the uniform closed form.
-func (p A2APricer) Profiled() bool { return p.prof != nil }
-
-// SkewedUs returns exactly what AllToAllSkewedUs(bytesPerDevice, prof)
-// would, minus the per-call cache traffic.
-//
-//lancet:hotpath
-func (p A2APricer) SkewedUs(bytesPerDevice int64) float64 {
-	if p.prof == nil {
-		return p.m.groundAllToAllUs(bytesPerDevice, p.m.Cluster.TotalGPUs())
+	t, err := m.net.AllToAllUs(netsim.UniformMatrix(m.Cluster.TotalGPUs(), bytesPerDevice))
+	if err != nil {
+		panic(fmt.Sprintf("cost: netsim rejected a uniform matrix: %v", err))
 	}
-	if bytesPerDevice <= 0 {
-		return 0
-	}
-	if bytesPerDevice < skewTableMinBytes {
-		return p.m.skewedExactUs(bytesPerDevice, p.prof)
-	}
-	return p.tab.lookup(bytesPerDevice)
-}
-
-// PartitionedUs returns exactly what PredictA2APartitioned(bytes, devices, n)
-// would — the uniform table queried at bytes/n — without the commKey shard
-// acquisition. Used by the DP's padded-closed-form cap.
-//
-//lancet:hotpath
-func (p A2APricer) PartitionedUs(bytes int64, devices, n int) float64 {
-	if n < 1 {
-		n = 1
-	}
-	bytes /= int64(n)
-	if devices == 0 {
-		devices = p.m.tableDevices
-	}
-	if devices != p.m.tableDevices {
-		return p.m.groundCommUs(ir.OpAllToAll, bytes, devices)
-	}
-	return interpolate(p.m.a2aTable, bytes)
+	s.put(bytesPerDevice, t)
+	m.misses.Add(1)
+	return t
 }
 
 // IrregularA2AUs prices the two-phase irregular all-to-all of paper Fig. 10:

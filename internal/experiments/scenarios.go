@@ -84,7 +84,7 @@ func NodeLoss(p Params) (*Table, error) {
 		}
 		sess.WorkloadSkew = c.skew
 		sess.WorkloadHotExpert = c.hot
-		rep, err := sess.NodeLoss(nil, lancet.Options{LostNodes: c.lost}, 17)
+		rep, err := sess.NodeLoss(c.lost, nil, lancet.Options{}, 17)
 		if err != nil {
 			return nil, err
 		}

@@ -173,8 +173,8 @@ func (n *Network) AllToAllTimed(sizes [][]int64) (A2ATiming, error) {
 			// a flow between a fast and a slow node is counted at both
 			// endpoints, so the slower one bounds the pair.
 			bw := bwT[d]
-			bound = math.Max(bound, egT[d]/effBW(bw, egT[d]))
-			bound = math.Max(bound, inT[d]/effBW(bw, inT[d]))
+			bound = math.Max(bound, egT[d]/EffBW(bw, egT[d]))
+			bound = math.Max(bound, inT[d]/EffBW(bw, inT[d]))
 		}
 		res.TierUs[tier] = bound * 1e6
 		if res.TierUs[tier] > res.TierUs[res.Bottleneck] {
@@ -184,62 +184,6 @@ func (n *Network) AllToAllTimed(sizes [][]int64) (A2ATiming, error) {
 	alpha := 15.0 + 0.4*float64(g)
 	res.TotalUs = alpha + res.TierUs[res.Bottleneck]
 	return res, nil
-}
-
-// DrainArgmax identifies which (tier, device, direction) load bounds a
-// timed replay: the link whose drain sets A2ATiming.TotalUs. The cost
-// model's skew interpolation tables use it to subdivide byte segments until
-// both endpoints share a bounding link — per-link drain time is affine in
-// the payload scale, so within such a segment linear interpolation is exact
-// up to integer byte rounding (DESIGN.md §13).
-type DrainArgmax struct {
-	tier    hw.Tier
-	dev     int
-	ingress bool
-}
-
-// AllToAllTimedArgmax is AllToAllTimed plus the bounding link of the
-// dominant tier.
-func (n *Network) AllToAllTimedArgmax(sizes [][]int64) (A2ATiming, DrainArgmax, error) {
-	res, err := n.AllToAllTimed(sizes)
-	if err != nil || res.TotalUs == 0 {
-		return res, DrainArgmax{}, err
-	}
-	// Re-walk only the dominant tier's loads to recover the argmax; the
-	// replay above stays the single source of the timing itself.
-	sc := n.scratch()
-	defer n.pool.Put(sc)
-	eg, in := sc.eg, sc.in
-	g := n.g
-	for src := range sizes {
-		tiers := n.tier[src*g : src*g+g]
-		for dst, b := range sizes[src] {
-			if src == dst || b == 0 {
-				continue
-			}
-			off := int(tiers[dst]) * g
-			fb := float64(b)
-			eg[off+src] += fb
-			in[off+dst] += fb
-			if tiers[dst] == hw.TierSpine {
-				eg[int(hw.TierNIC)*g+src] += fb
-				in[int(hw.TierNIC)*g+dst] += fb
-			}
-		}
-	}
-	arg := DrainArgmax{tier: res.Bottleneck}
-	off := int(res.Bottleneck) * g
-	best := 0.0
-	for d := 0; d < g; d++ {
-		bw := n.bw[res.Bottleneck][d]
-		if t := eg[off+d] / effBW(bw, eg[off+d]); t > best {
-			best, arg.dev, arg.ingress = t, d, false
-		}
-		if t := in[off+d] / effBW(bw, in[off+d]); t > best {
-			best, arg.dev, arg.ingress = t, d, true
-		}
-	}
-	return res, arg, nil
 }
 
 // UniformMatrix builds the transfer matrix of a balanced all-to-all where
@@ -308,9 +252,11 @@ func ScaleCounts(counts [][]int, perTokenBytes int64, factor float64) ([][]int64
 	return m, nil
 }
 
-// effBW mirrors the closed-form model's small-message ramp so the two
+// EffBW models small-message bandwidth ramp-up: a link of peak bandwidth
+// moving bytes achieves peak * bytes/(bytes + 256 KiB). Both the drain here
+// and the closed-form collectives of package cost charge it, so the two
 // agree on uniform traffic.
-func effBW(peak, bytes float64) float64 {
+func EffBW(peak, bytes float64) float64 {
 	const rampBytes = 256 * 1024
 	if bytes <= 0 {
 		return peak

@@ -20,7 +20,7 @@ func TestUniformAgreesWithClosedForm(t *testing.T) {
 	n := netsim.New(cl)
 	cm := cost.NewModel(cl)
 	// Sizes deliberately span the 256 KiB small-message bandwidth ramp that
-	// effBW models on both sides: well below, around, and well above it.
+	// EffBW models on both sides: well below, around, and well above it.
 	for _, bytes := range []int64{64 << 10, 256 << 10, 1 << 20, 16 << 20, 64 << 20, 256 << 20} {
 		got, err := n.AllToAllUs(netsim.UniformMatrix(cl.TotalGPUs(), bytes))
 		if err != nil {
@@ -431,32 +431,8 @@ func TestDrainZeroAllocs(t *testing.T) {
 	_ = sink
 }
 
-// The argmax variant re-walks the dominant tier on the same arenas and must
-// stay allocation-free too.
-func TestDrainArgmaxZeroAllocs(t *testing.T) {
-	if race.Enabled {
-		t.Skip("allocation counts are not deterministic under the race detector")
-	}
-	n := netsim.New(hw.V100Cluster(2))
-	m := netsim.HotExpertProfile(16, 0.6).Matrix(8 << 20)
-	if _, _, err := n.AllToAllTimedArgmax(m); err != nil {
-		t.Fatal(err)
-	}
-	sink := 0.0
-	if allocs := testing.AllocsPerRun(100, func() {
-		timing, _, err := n.AllToAllTimedArgmax(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sink += timing.TotalUs
-	}); allocs != 0 {
-		t.Errorf("argmax drain allocates %v per run, want 0", allocs)
-	}
-	_ = sink
-}
-
 // BenchmarkNetsimDrain measures one timed replay of a skewed 16-device
-// matrix — the link-level evaluation the skew tables are built from.
+// matrix — the link-level evaluation behind every skewed all-to-all price.
 // Steady state must be 0 allocs/op (ratcheted by perf_floor.txt).
 func BenchmarkNetsimDrain(b *testing.B) {
 	n := netsim.New(hw.V100Cluster(2))

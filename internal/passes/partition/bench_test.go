@@ -103,7 +103,6 @@ func BenchmarkPartitionDP(b *testing.B) {
 	built, cm := benchFixture(b)
 	h := built.MoE[0]
 	window := built.Graph.Instrs[h.Gate : h.Gather+1]
-	pr := cm.NewA2APricer(nil)
 	sc := getScratch()
 	defer putScratch(sc)
 	sc.beginDurMemo(len(built.Graph.Instrs), 8)
@@ -116,7 +115,7 @@ func BenchmarkPartitionDP(b *testing.B) {
 	// Warm the memoized instruction profiles and the scratch arenas.
 	sc.prepareWindow(built.Graph, window)
 	for k := 2; k <= 8; k++ {
-		sink += sc.pipelineSpan(cm, window, k, pr, 1)
+		sink += sc.pipelineSpan(cm, window, k, nil, 1)
 	}
 	sink += boundaryCostUs(built.Graph, cm, window, sc)
 	b.ReportAllocs()
@@ -125,7 +124,7 @@ func BenchmarkPartitionDP(b *testing.B) {
 		boundary := boundaryCostUs(built.Graph, cm, window, sc)
 		sc.prepareWindow(built.Graph, window)
 		for k := 2; k <= 8; k++ {
-			sink += sc.pipelineSpan(cm, window, k, pr, 1) + boundary
+			sink += sc.pipelineSpan(cm, window, k, nil, 1) + boundary
 		}
 	}
 	_ = sink

@@ -96,18 +96,17 @@ type choice struct {
 // Run executes the operator partition pass. The DP sweep runs entirely on a
 // pooled scratch arena — prefix and DP tables, the axis solver's binding
 // table and per-tensor assignment, per-window dependency and stage indexes,
-// the pipeline simulation's end-time matrix — and prices all-to-alls
-// through a batched pricer acquired once up front, so the sweep performs no
-// allocations and no per-candidate cache round-trips in steady state
-// (DESIGN.md §13). Only the chosen ranges get an Assignment map. Chosen
-// ranges and costs are byte-identical to the original per-candidate
-// implementation.
+// the pipeline simulation's end-time matrix — and memoizes each
+// (instruction, k) duration for the whole sweep, so the cost model is asked
+// about each micro-instance once and the sweep performs no allocations in
+// steady state (DESIGN.md §13). Only the chosen ranges get an Assignment
+// map. Chosen ranges and costs are byte-identical to the original
+// per-candidate implementation.
 func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 	opts.fillDefaults()
 	if err := cm.ValidateProfile(opts.Profile); err != nil {
 		return nil, fmt.Errorf("partition: %w", err)
 	}
-	pr := cm.NewA2APricer(opts.Profile)
 	sc := getScratch()
 	defer putScratch(sc)
 	sc.beginDurMemo(len(g.Instrs), opts.MaxPartitions)
@@ -132,7 +131,7 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 	prefix := sc.prefix
 	prefix[0] = 0
 	for i := 0; i < fwdEnd; i++ {
-		prefix[i+1] = prefix[i] + predictInstr(cm, g.Instr(i), pr, opts.PayloadFraction)
+		prefix[i+1] = prefix[i] + predictInstr(cm, g.Instr(i), opts.Profile, opts.PayloadFraction)
 	}
 	sc.bounds = makeGroups(prefix, opts.GroupUs, sc.bounds[:0])
 	bounds := sc.bounds
@@ -172,7 +171,7 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 			boundary := boundaryCostUs(g, cm, window, sc)
 			sc.prepareWindow(g, window)
 			for k := 2; k <= kmax; k++ {
-				p := sc.pipelineSpan(cm, window, k, pr, opts.PayloadFraction) + boundary
+				p := sc.pipelineSpan(cm, window, k, opts.Profile, opts.PayloadFraction) + boundary
 				res.Evaluations++
 				if t := T[i] + p; t < T[j] {
 					T[j] = t

@@ -356,7 +356,6 @@ func TestDPInnerLoopZeroAllocs(t *testing.T) {
 	b, cm := buildFixture(t)
 	h := b.MoE[0]
 	w := b.Graph.Instrs[h.Gate : h.Gather+1]
-	pr := cm.NewA2APricer(nil)
 	sc := getScratch()
 	defer putScratch(sc)
 	sc.beginDurMemo(len(b.Graph.Instrs), 8)
@@ -368,7 +367,7 @@ func TestDPInnerLoopZeroAllocs(t *testing.T) {
 	}
 	sc.prepareWindow(b.Graph, w)
 	for k := 2; k <= 8; k++ {
-		sink += sc.pipelineSpan(cm, w, k, pr, 1)
+		sink += sc.pipelineSpan(cm, w, k, nil, 1)
 	}
 	sink += boundaryCostUs(b.Graph, cm, w, sc)
 	if allocs := testing.AllocsPerRun(100, func() {
@@ -381,7 +380,7 @@ func TestDPInnerLoopZeroAllocs(t *testing.T) {
 		boundary := boundaryCostUs(b.Graph, cm, w, sc)
 		sc.prepareWindow(b.Graph, w)
 		for k := 2; k <= 8; k++ {
-			sink += sc.pipelineSpan(cm, w, k, pr, 1) + boundary
+			sink += sc.pipelineSpan(cm, w, k, nil, 1) + boundary
 		}
 	}); allocs != 0 {
 		t.Errorf("DP inner loop allocates %v per run, want 0", allocs)

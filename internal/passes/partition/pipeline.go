@@ -7,14 +7,14 @@ import (
 )
 
 // predictInstr prices one instruction under the active routing profile:
-// all-to-alls under a profiled pricer go to the link-level model's skew
-// interpolation table, everything else — and every op under uniform
-// routing — keeps the closed-form prediction path.
+// all-to-alls under a profile go to the link-level model's exact skewed
+// replay, everything else — and every op under uniform routing — keeps the
+// closed-form prediction path.
 //
 //lancet:hotpath
-func predictInstr(cm *cost.Model, in *ir.Instr, pr cost.A2APricer, frac float64) float64 {
-	if pr.Profiled() && in.Op == ir.OpAllToAll {
-		return a2aProfiledUs(in, 1, pr, frac)
+func predictInstr(cm *cost.Model, in *ir.Instr, prof *netsim.RoutingProfile, frac float64) float64 {
+	if prof != nil && in.Op == ir.OpAllToAll {
+		return a2aProfiledUs(cm, in, 1, prof, frac)
 	}
 	return cm.PredictInstr(in)
 }
@@ -27,10 +27,10 @@ func predictInstr(cm *cost.Model, in *ir.Instr, pr cost.A2APricer, frac float64)
 // padded one on any link).
 //
 //lancet:hotpath
-func a2aProfiledUs(in *ir.Instr, k int, pr cost.A2APricer, frac float64) float64 {
+func a2aProfiledUs(cm *cost.Model, in *ir.Instr, k int, prof *netsim.RoutingProfile, frac float64) float64 {
 	routed := int64(float64(in.Bytes/int64(k)) * frac)
-	t := pr.SkewedUs(routed)
-	if padded := pr.PartitionedUs(in.Bytes, in.CommDevices, k); t > padded {
+	t := cm.AllToAllSkewedUs(routed, prof)
+	if padded := cm.PredictA2APartitioned(in.Bytes, in.CommDevices, k); t > padded {
 		t = padded
 	}
 	return t
@@ -80,20 +80,20 @@ func schedulePlan(window []*ir.Instr, k int) []instanceRef {
 
 // instanceDur prices one micro-partition of an op. All-to-alls use the
 // paper's static-shape approximation (query the profiled table at C/n —
-// or, under a routing profile, the skew interpolation table at C/n with
-// the same traffic shape); compute ops are re-profiled at 1/k of their
-// work, which captures kernel launch overhead and SM under-utilization of
-// small kernels. tmp is caller-owned scratch for the micro-partition
+// or, under a routing profile, the exact skewed replay at C/n with the
+// same traffic shape); compute ops are re-profiled at 1/k of their work,
+// which captures kernel launch overhead and SM under-utilization of small
+// kernels. tmp is caller-owned scratch for the micro-partition
 // instruction, so the hot loop allocates no copies; the cost model only
 // reads its scalar fields.
 //
 //lancet:hotpath
-func instanceDur(cm *cost.Model, in *ir.Instr, k int, pr cost.A2APricer, frac float64, tmp *ir.Instr) float64 {
+func instanceDur(cm *cost.Model, in *ir.Instr, k int, prof *netsim.RoutingProfile, frac float64, tmp *ir.Instr) float64 {
 	if in.Op == ir.OpAllToAll {
-		if pr.Profiled() {
-			return a2aProfiledUs(in, k, pr, frac)
+		if prof != nil {
+			return a2aProfiledUs(cm, in, k, prof, frac)
 		}
-		return pr.PartitionedUs(in.Bytes, in.CommDevices, k)
+		return cm.PredictA2APartitioned(in.Bytes, in.CommDevices, k)
 	}
 	*tmp = *in
 	tmp.FLOPs /= float64(k)
@@ -164,13 +164,12 @@ func boundaryCostUs(g *ir.Graph, cm *cost.Model, window []*ir.Instr, sc *dpScrat
 // decomposed pieces (prepareWindow / pipelineSpan / hoisted boundary cost)
 // directly on its own scratch.
 func pipelineCost(g *ir.Graph, cm *cost.Model, window []*ir.Instr, asg Assignment, k int, prof *netsim.RoutingProfile, frac float64) float64 {
-	pr := cm.NewA2APricer(prof)
 	sc := getScratch()
 	defer putScratch(sc)
 	sc.beginDurMemo(len(g.Instrs), k)
 	sc.setAssignment(g, asg)
 	sc.prepareWindow(g, window)
-	span := sc.pipelineSpan(cm, window, k, pr, frac)
+	span := sc.pipelineSpan(cm, window, k, prof, frac)
 	return span + boundaryCostUs(g, cm, window, sc)
 }
 
@@ -178,10 +177,9 @@ func pipelineCost(g *ir.Graph, cm *cost.Model, window []*ir.Instr, asg Assignmen
 // sum of operator times (the forward pass is a dependency chain), priced
 // under the active routing profile.
 func serialCost(cm *cost.Model, window []*ir.Instr, prof *netsim.RoutingProfile, frac float64) float64 {
-	pr := cm.NewA2APricer(prof)
 	total := 0.0
 	for _, in := range window {
-		total += predictInstr(cm, in, pr, frac)
+		total += predictInstr(cm, in, prof, frac)
 	}
 	return total
 }

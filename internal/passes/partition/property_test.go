@@ -94,7 +94,7 @@ func TestPipelineCostLowerBound(t *testing.T) {
 		chain := 0.0
 		var tmp ir.Instr
 		for _, in := range window {
-			chain += instanceDur(cm, in, k, cm.NewA2APricer(nil), 1, &tmp)
+			chain += instanceDur(cm, in, k, nil, 1, &tmp)
 		}
 		if p < chain-1e-6 {
 			t.Errorf("k=%d: pipeline %v us below single-chain critical path %v us", k, p, chain)

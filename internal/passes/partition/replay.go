@@ -23,7 +23,6 @@ func Replay(g *ir.Graph, cm *cost.Model, opts Options, fixed []Range) (*Result, 
 	if err := cm.ValidateProfile(opts.Profile); err != nil {
 		return nil, fmt.Errorf("partition: %w", err)
 	}
-	pr := cm.NewA2APricer(opts.Profile)
 	sc := getScratch()
 	defer putScratch(sc)
 	sc.beginDurMemo(len(g.Instrs), opts.MaxPartitions)
@@ -40,7 +39,7 @@ func Replay(g *ir.Graph, cm *cost.Model, opts Options, fixed []Range) (*Result, 
 	prefix := sc.prefix
 	prefix[0] = 0
 	for i := 0; i < fwdEnd; i++ {
-		prefix[i+1] = prefix[i] + predictInstr(cm, g.Instr(i), pr, opts.PayloadFraction)
+		prefix[i+1] = prefix[i] + predictInstr(cm, g.Instr(i), opts.Profile, opts.PayloadFraction)
 	}
 
 	ranges := append([]Range(nil), fixed...)
@@ -75,7 +74,7 @@ func Replay(g *ir.Graph, cm *cost.Model, opts Options, fixed []Range) (*Result, 
 		}
 		boundary := boundaryCostUs(g, cm, window, sc)
 		sc.prepareWindow(g, window)
-		p := sc.pipelineSpan(cm, window, k, pr, opts.PayloadFraction) + boundary
+		p := sc.pipelineSpan(cm, window, k, opts.Profile, opts.PayloadFraction) + boundary
 		res.Evaluations++
 		serial := prefix[r.End+1] - prefix[r.Start]
 		res.ForwardUs += p - serial

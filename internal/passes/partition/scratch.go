@@ -5,6 +5,7 @@ import (
 
 	"lancet/internal/cost"
 	"lancet/internal/ir"
+	"lancet/internal/netsim"
 )
 
 // Everything here backs the DP inner loop: zero steady-state
@@ -62,7 +63,7 @@ type dpScratch struct {
 	end  []float64
 
 	// Sweep-level duration memo: instanceDur depends only on the
-	// instruction and k (the pricer, model and payload fraction are fixed
+	// instruction and k (the profile, model and payload fraction are fixed
 	// for a whole DP sweep), and overlapping candidate windows revisit the
 	// same instructions at every k. One slot per (instruction ID, k),
 	// indexed ID*durStride+k and stamped with durGen.
@@ -116,7 +117,7 @@ func grow[T any](s []T, n int) []T {
 
 // beginDurMemo opens a fresh duration-memo generation covering instruction
 // IDs below nInstrs and partition counts up to kmax. Must be called before
-// pipelineSpan whenever the pricing inputs (model, pricer, payload
+// pipelineSpan whenever the pricing inputs (model, profile, payload
 // fraction) may have changed.
 func (sc *dpScratch) beginDurMemo(nInstrs, kmax int) {
 	sc.durStride = kmax + 1
@@ -161,13 +162,13 @@ func (sc *dpScratch) prepareWindow(g *ir.Graph, window []*ir.Instr) {
 // partitions; within both, program order), walked over the stage ranges so
 // a (stage, partition) pair visits only its own positions; a stage runs on
 // one stream by construction.
-func (sc *dpScratch) pipelineSpan(cm *cost.Model, window []*ir.Instr, k int, pr cost.A2APricer, frac float64) float64 {
+func (sc *dpScratch) pipelineSpan(cm *cost.Model, window []*ir.Instr, k int, prof *netsim.RoutingProfile, frac float64) float64 {
 	n := len(window)
 	sc.durs = grow(sc.durs, n)
 	for i, in := range window {
 		slot := in.ID*sc.durStride + k
 		if sc.durMemoGen[slot] != sc.durGen {
-			sc.durMemo[slot] = instanceDur(cm, in, k, pr, frac, &sc.tmp)
+			sc.durMemo[slot] = instanceDur(cm, in, k, prof, frac, &sc.tmp)
 			sc.durMemoGen[slot] = sc.durGen
 		}
 		sc.durs[i] = sc.durMemo[slot]

@@ -87,7 +87,11 @@ func TestRunUniformProfileMatchesClosedFormPlan(t *testing.T) {
 
 func TestRunRejectsMismatchedProfile(t *testing.T) {
 	b, cm := buildFixture(t)
-	if _, err := Run(b.Graph, cm, Options{Profile: netsim.UniformProfile(3)}); err == nil {
+	opts := Options{Profile: netsim.UniformProfile(3)}
+	if _, err := Run(b.Graph, cm, opts); err == nil {
 		t.Error("profile shaped for the wrong device count must error")
+	}
+	if _, err := Replay(b.Graph, cm, opts, nil); err == nil {
+		t.Error("Replay: profile shaped for the wrong device count must error")
 	}
 }

@@ -2,7 +2,7 @@ package service
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"lancet"
@@ -392,16 +392,9 @@ func (r PlanRequest) canonicalize() (*canonical, error) {
 		if c.framework != lancet.FrameworkLancet {
 			return nil, codedf(CodeConflictingFields, "what_if requires framework %q, got %q", lancet.FrameworkLancet, c.framework)
 		}
-		lost := append([]int(nil), r.WhatIf.LostNodes...)
-		sort.Ints(lost)
-		n := 0
-		for i, v := range lost {
-			if i == 0 || v != lost[n-1] {
-				lost[n] = v
-				n++
-			}
-		}
-		lost = lost[:n]
+		lost := slices.Clone(r.WhatIf.LostNodes)
+		slices.Sort(lost)
+		lost = slices.Compact(lost)
 		if len(lost) == 0 {
 			return nil, codedf(CodeBadRequest, "what_if.lost_nodes must name at least one node")
 		}

@@ -259,9 +259,7 @@ func (s *Service) resultForWith(c *canonical, fw string, sessionFn func() (*lanc
 			return nil, err
 		}
 		s.computations.Add(1)
-		opts := c.opts.toLancet()
-		opts.LostNodes = c.lostNodes
-		res, err := Compute(sess, fw, c.seed, opts)
+		res, err := Compute(sess, fw, c.seed, c.opts.toLancet(), c.lostNodes)
 		if err != nil {
 			return nil, err
 		}

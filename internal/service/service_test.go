@@ -297,7 +297,7 @@ func TestServiceMatchesCLIComputation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := Compute(sess, lancet.FrameworkRAF, 1, lancet.Options{})
+	direct, err := Compute(sess, lancet.FrameworkRAF, 1, lancet.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,11 +579,11 @@ func TestComputeDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Compute(sess, lancet.FrameworkTutel, 3, lancet.Options{})
+	a, err := Compute(sess, lancet.FrameworkTutel, 3, lancet.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Compute(sess, lancet.FrameworkTutel, 3, lancet.Options{})
+	b, err := Compute(sess, lancet.FrameworkTutel, 3, lancet.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

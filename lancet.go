@@ -282,12 +282,6 @@ type Options struct {
 	// it never searches. Any non-nil slice replays, so an empty one (a plan
 	// that chose no pipelines) stays unpipelined; nil runs the DP.
 	FixedPipelines []PipelineHint
-	// LostNodes lists global node indices to drop in a node-loss what-if
-	// (DESIGN.md §17). Session.Lancet ignores it — planning always targets
-	// the intact fleet; Session.NodeLoss (and the serving layer's
-	// what_if.lost_nodes field) consumes it to compare the stale plan's
-	// degraded replay against a fresh plan for the survivors.
-	LostNodes []int
 }
 
 // PipelineHint is one chosen pipeline of a plan: the instruction range
@@ -352,13 +346,13 @@ type Session struct {
 // the simulator about a configuration's dispatch traffic.
 type routingProfile struct {
 	devices int
-	tokens  int     // proxy tokens per device
-	routed  int     // total routed slots
-	dropped int     // total dropped slots
-	counts  [][]int // aggregate send matrix [src][dst] in tokens
+	tokens  int // proxy tokens per device
+	// routedTokens is the aggregate send matrix's total in tokens.
+	routedTokens int64
 	// shares[m] is the fraction of the padded per-device payload
-	// micro-batch m of the split actually moves.
-	shares []float64
+	// micro-batch m of the split actually moves; shareTotal is their sum.
+	shares     []float64
+	shareTotal float64
 	// hotExpertShare is the fraction of routed tokens on the single most
 	// popular expert (drives FasterMoE-style shadowing).
 	hotExpertShare float64
@@ -907,20 +901,14 @@ func (s *Session) irregularOverrides(g *ir.Graph) (bytesOv map[int]int64, durOv 
 		bytesOv[in.ID] = int64(p.shares[m] * float64(s.Built.A2ABytes))
 		if durOv != nil && p.net != nil && p.devices == s.Cluster.TotalGPUs() {
 			microFrac := 0.0
-			if total := sumf(p.shares); total > 0 {
-				microFrac = p.shares[m] / total
+			if p.shareTotal > 0 {
+				microFrac = p.shares[m] / p.shareTotal
 			}
 			// The micro a2a moves the profile's traffic shape at a mean
 			// per-device payload of this micro-batch's routed share, scaled
 			// from proxy tokens to the real batch.
-			routedTokens := int64(0)
-			for _, row := range p.counts {
-				for _, c := range row {
-					routedTokens += int64(c)
-				}
-			}
 			scale := float64(s.Config.TokensPerGPU()) / float64(p.tokens) * microFrac
-			meanBytes := int64(scale * float64(routedTokens) * float64(perTokenBytes) / float64(p.devices))
+			meanBytes := int64(scale * float64(p.routedTokens) * float64(perTokenBytes) / float64(p.devices))
 			t := s.costRAF.AllToAllSkewedUs(meanBytes, p.net)
 			// Capacity caps every (source, expert) pair at C tokens, so an
 			// irregular exchange can never exceed the padded one on any
@@ -942,14 +930,6 @@ func (s *Session) irregularOverrides(g *ir.Graph) (bytesOv map[int]int64, durOv 
 		}
 	}
 	return bytesOv, durOv, nil
-}
-
-func sumf(xs []float64) float64 {
-	t := 0.0
-	for _, x := range xs {
-		t += x
-	}
-	return t
 }
 
 // proxyShape identifies one routing-proxy gate run. The proxy is a pure
@@ -1135,9 +1115,12 @@ func (s *Session) profile(k int) (*routingProfile, error) {
 func newRoutingProfile(stats *moe.Stats, shape proxyShape) (*routingProfile, error) {
 	p := &routingProfile{
 		devices: shape.devices, tokens: proxyTokens,
-		routed: stats.Routed, dropped: stats.Dropped,
-		counts:         stats.SendTokens,
 		hotExpertShare: stats.HottestExpertShare(),
+	}
+	for _, row := range stats.SendTokens {
+		for _, c := range row {
+			p.routedTokens += int64(c)
+		}
 	}
 	if shape.skew > 0 || shape.hot > 0 {
 		np, err := netsim.ProfileFromCounts(stats.SendTokens)
@@ -1153,6 +1136,7 @@ func newRoutingProfile(stats *moe.Stats, shape proxyShape) (*routingProfile, err
 			sum += float64(c)
 		}
 		p.shares = append(p.shares, sum/float64(len(row))/padded)
+		p.shareTotal += p.shares[len(p.shares)-1]
 	}
 	return p, nil
 }
@@ -1219,20 +1203,19 @@ func syntheticProfile(wp *netsim.RoutingProfile, k int, capacityFactor float64) 
 	// shares are the delivered fraction of it, split evenly across the k
 	// micro-batches.
 	share := float64(routed) / (float64(offered) * capacityFactor)
-	shares := make([]float64, k)
-	for i := range shares {
-		shares[i] = share / float64(k)
-	}
-	return &routingProfile{
+	p := &routingProfile{
 		devices:        devices,
 		tokens:         tokens,
-		routed:         int(routed),
-		dropped:        int(offered - routed),
-		counts:         counts,
-		shares:         shares,
+		routedTokens:   routed,
+		shares:         make([]float64, k),
 		hotExpertShare: net.MaxIngressShare(),
 		net:            net,
 	}
+	for i := range p.shares {
+		p.shares[i] = share / float64(k)
+		p.shareTotal += p.shares[i]
+	}
+	return p
 }
 
 // makeProxyInputs builds deterministic token batches for the routing proxy.

@@ -244,7 +244,7 @@ func TestRoutingProfileSaneAndCached(t *testing.T) {
 	if total > 1.0001 {
 		t.Errorf("micro shares sum to %v > 1", total)
 	}
-	if p.routed == 0 || len(p.counts) != p.devices {
+	if p.routedTokens == 0 {
 		t.Errorf("profile incomplete: %+v", p)
 	}
 	p2, err := s.profile(4)

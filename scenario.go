@@ -3,7 +3,7 @@ package lancet
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // scenarioSimRuns is the seeded-iteration count every scenario metric
@@ -51,38 +51,30 @@ type NodeLossReport struct {
 
 // normalizeLostNodes sorts and deduplicates a lost-node list.
 func normalizeLostNodes(lost []int) []int {
-	out := append([]int(nil), lost...)
-	sort.Ints(out)
-	n := 0
-	for i, v := range out {
-		if i == 0 || v != out[n-1] {
-			out[n] = v
-			n++
-		}
-	}
-	return out[:n]
+	out := slices.Clone(lost)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-// NodeLoss answers the node-loss what-if for opts.LostNodes: it drops the
-// listed nodes from the session's cluster, replays the base plan's
-// pipelines verbatim on the degraded fleet, plans the degraded fleet once
-// from scratch, and reports the three latencies plus the re-plan's DP cost
-// (DESIGN.md §17). The degraded session's per-GPU batch is scaled
-// up by ceil(intact GPUs / survivor GPUs) so the survivors carry at least
-// the intact fleet's global token budget — losing nodes can therefore
-// never predict faster than the intact fleet. base, when non-nil, is a
-// plan previously computed from this session with the same options (minus
-// LostNodes); nil plans it here. Sessions running a streamed workload
-// profile are rejected: the histogram is shaped for the intact device
-// count. Losing zero nodes degenerates to an exact replay: all three
-// latencies coincide.
-func (s *Session) NodeLoss(base *Plan, opts Options, seed int64) (*NodeLossReport, error) {
+// NodeLoss answers the node-loss what-if for the lost global node indices
+// (any order, duplicates ignored): it drops the listed nodes from the
+// session's cluster, replays the base plan's pipelines verbatim on the
+// degraded fleet, plans the degraded fleet once from scratch, and reports
+// the three latencies plus the re-plan's DP cost (DESIGN.md §17). The
+// degraded session's per-GPU batch is scaled up by ceil(intact GPUs /
+// survivor GPUs) so the survivors carry at least the intact fleet's global
+// token budget — losing nodes can therefore never predict faster than the
+// intact fleet. base, when non-nil, is a plan previously computed from
+// this session with the same options; nil plans it here. Sessions running
+// a streamed workload profile are rejected: the histogram is shaped for
+// the intact device count. Losing zero nodes degenerates to an exact
+// replay: all three latencies coincide.
+func (s *Session) NodeLoss(lost []int, base *Plan, opts Options, seed int64) (*NodeLossReport, error) {
 	if s.WorkloadProfile != nil {
 		return nil, fmt.Errorf("lancet: node-loss what-if is not supported with a streamed workload profile (histogram is shaped for the intact fleet)")
 	}
-	lost := normalizeLostNodes(opts.LostNodes)
+	lost = normalizeLostNodes(lost)
 	baseOpts := opts
-	baseOpts.LostNodes = nil
 	baseOpts.FixedPipelines = nil
 	if base == nil {
 		var err error
@@ -168,7 +160,7 @@ func ElasticResize(cfg ModelConfig, gpuType string, schedule []int, opts Options
 	if len(schedule) == 0 {
 		return nil, fmt.Errorf("lancet: empty resize schedule")
 	}
-	opts.LostNodes, opts.FixedPipelines = nil, nil
+	opts.FixedPipelines = nil
 	steps := make([]ResizeStep, 0, len(schedule))
 	for _, gpus := range schedule {
 		cl, err := NewCluster(gpuType, gpus)

@@ -24,7 +24,7 @@ func skewedSession(t *testing.T, gpuType string, gpus int, skew, hot float64) *S
 // all three pipeline sets coincide exactly.
 func TestNodeLossZeroNodesIsExactIdentity(t *testing.T) {
 	sess := skewedSession(t, "V100", 16, 1.2, 0)
-	rep, err := sess.NodeLoss(nil, Options{}, 17)
+	rep, err := sess.NodeLoss(nil, nil, Options{}, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestNodeLossNeverPredictsFaster(t *testing.T) {
 	}
 	for _, tc := range cases {
 		sess := skewedSession(t, tc.gpuType, tc.gpus, tc.skew, tc.hot)
-		rep, err := sess.NodeLoss(nil, Options{LostNodes: tc.lost}, 17)
+		rep, err := sess.NodeLoss(tc.lost, nil, Options{}, 17)
 		if err != nil {
 			t.Fatalf("%v: %v", tc, err)
 		}
@@ -95,7 +95,7 @@ func TestNodeLossReplanBeatsDegradedReplay(t *testing.T) {
 	}
 	for _, tc := range cases {
 		sess := skewedSession(t, tc.gpuType, tc.gpus, tc.skew, tc.hot)
-		rep, err := sess.NodeLoss(nil, Options{LostNodes: tc.lost}, 17)
+		rep, err := sess.NodeLoss(tc.lost, nil, Options{}, 17)
 		if err != nil {
 			t.Fatalf("%v: %v", tc, err)
 		}
@@ -111,10 +111,10 @@ func TestNodeLossReplanBeatsDegradedReplay(t *testing.T) {
 // loss lists the cluster cannot absorb.
 func TestNodeLossRejectsBadInputs(t *testing.T) {
 	sess := skewedSession(t, "V100", 16, 1.2, 0)
-	if _, err := sess.NodeLoss(nil, Options{LostNodes: []int{7}}, 17); err == nil {
+	if _, err := sess.NodeLoss([]int{7}, nil, Options{}, 17); err == nil {
 		t.Error("out-of-range lost node accepted")
 	}
-	if _, err := sess.NodeLoss(nil, Options{LostNodes: []int{0, 1}}, 17); err == nil {
+	if _, err := sess.NodeLoss([]int{0, 1}, nil, Options{}, 17); err == nil {
 		t.Error("losing every node accepted")
 	}
 }
