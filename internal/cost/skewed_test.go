@@ -29,17 +29,12 @@ func skewProfiles(devices int) map[string]*netsim.RoutingProfile {
 
 // The skewed price is the exact link-level replay (DESIGN.md §10): over
 // every profile, on flat and 2:1-oversubscribed racked fabrics of 16 and 32
-// devices, and for payloads from 1 B (where matrix rounding makes the
-// replay a staircase) to beyond the 2 GiB profiling ceiling, it must equal a
-// fresh netsim drain of the same matrix bit for bit — on the first call and
-// on the memo hit. One model serves all profiles and payloads, so a memo
-// keyed on only one of (bytes, fingerprint) returns another entry's price.
-func TestSkewedMatchesExactReplay(t *testing.T) {
-	payloads := []int64{
-		1, 2, 3, 7, 100, 1023, 1 << 10, 1537, 5000, 12345, 100_000, 777_777,
-		1 << 20, 3<<20 + 55_555, 16<<20 + 1, 100 << 20, 1 << 30,
-		maxProfiledBytes, maxProfiledBytes + 1, maxProfiledBytes * 3,
-	}
+// devices, each payload's price must equal a fresh netsim drain of the same
+// matrix bit for bit — on the first call and on the memo hit. One model
+// serves all profiles and payloads, so a memo keyed on only one of (bytes,
+// fingerprint) returns another entry's price.
+func checkSkewedExactReplay(t *testing.T, payloads []int64) {
+	t.Helper()
 	clusters := map[string]hw.Cluster{
 		"16-flat":   hw.V100Cluster(2),
 		"32-flat":   hw.V100Cluster(4),
@@ -63,6 +58,21 @@ func TestSkewedMatchesExactReplay(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Payloads from 1 KiB to beyond the 2 GiB profiling ceiling.
+func TestSkewedMatchesExactReplay(t *testing.T) {
+	checkSkewedExactReplay(t, []int64{
+		1 << 10, 1537, 5000, 12345, 100_000, 777_777,
+		1 << 20, 3<<20 + 55_555, 16<<20 + 1, 100 << 20, 1 << 30,
+		maxProfiledBytes, maxProfiledBytes + 1, maxProfiledBytes * 3,
+	})
+}
+
+// Payloads below 1 KiB, where matrix rounding makes the replay a staircase
+// in the payload.
+func TestSkewedSubKiBMatchesExactReplay(t *testing.T) {
+	checkSkewedExactReplay(t, []int64{1, 2, 3, 7, 100, 1023})
 }
 
 // A warm memo hit is what the partition DP and the simulator's overrides
