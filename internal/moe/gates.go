@@ -5,7 +5,10 @@
 //   - micro-batched gating with capacity passing preserves the exact
 //     token-to-expert mapping and token dropping of unpartitioned gating
 //     for arrival-order gates (Switch, Top-2, Random, Hash);
-//   - Batch Prioritized Routing is *not* preserved under batch splitting;
+//   - Batch Prioritized Routing is *not* preserved under batch splitting:
+//     a split drops different tokens, though never different per-expert
+//     counts, since each chunk admits min(remaining, chunk tokens) per
+//     expert in any order;
 //   - the irregular all-to-all (Fig. 10) moves only the tokens actually
 //     routed, whose per-device counts feed the simulator's irregular
 //     payload override.

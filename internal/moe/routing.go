@@ -19,8 +19,11 @@ import (
 //     admit in token order through capacity passing, so every split makes
 //     the same decisions; the whole-batch totals hold for all k and only
 //     the per-token kept-slot counts are regrouped into micro-batches;
-//   - Batch Prioritized Routing re-sorts each chunk by importance, so each
-//     token's expert and importance are kept and admission is replayed;
+//   - Batch Prioritized Routing re-sorts each chunk by importance, which
+//     changes which tokens drop but not how many: a top-1 gate admits, per
+//     chunk and expert e, min(remaining_e, n_e) of the chunk's n_e tokens
+//     for e, whatever order it ranks them in. Stats holds only counts, so
+//     BPR splits exactly like Switch, from its per-token kept-slot counts;
 //   - expert choice admits min(remaining, chunk) tokens per expert and
 //     keeps every slot, whatever the scores, so its split is closed form
 //     and the routing keeps nothing but the batch size.
@@ -30,9 +33,8 @@ type Routing struct {
 	cfg    Config
 	tokens int // rows per device batch
 
-	whole      *Stats    // arrival order: totals of the whole batch
-	keptPrefix [][]int32 // arrival order: [d][t] slots kept by tokens < t
-	prio       [][]prioToken
+	whole *Stats  // arrival order: totals of the whole batch
+	kept  []uint8 // arrival order: [d*tokens+i] slots token i of device d kept (at most top-k)
 }
 
 // Route runs the gate projection and the per-token decision once per device
@@ -40,70 +42,82 @@ type Routing struct {
 // splits) and keeps what Split needs. It supports the arrival-order gates,
 // Batch Prioritized Routing and expert choice, and panics on any other gate
 // that is not partial-batch safe.
-//
-// The projection runs row by row into one reused buffer. The Switch gate
-// decides each row with tensor.SoftmaxArgmax, which skips the exponentials
-// when the top-1 expert is clear: the path never reads a slot weight. Other
-// arrival-order gates see one reused [T, E] score block per device.
 func (l *Layer) Route(xs []*tensor.Tensor, gate Gate) *Routing {
+	return l.route(xs[0].Rows(), gate, inputBatch{xs: xs, w: l.GateW})
+}
+
+// tokenLogits is a gate input batch as route reads it, token by token.
+type tokenLogits interface {
+	// logits writes the gate logits of device d's token i into row.
+	logits(row []float32, d, i int)
+	// top1 returns tensor.SoftmaxArgmax of those logits, using row as
+	// scratch.
+	top1(row []float32, d, i int) int
+}
+
+// inputBatch is a materialized batch: xs[d] is device d's [T, H] input.
+type inputBatch struct {
+	xs []*tensor.Tensor
+	w  *tensor.Tensor
+}
+
+func (b inputBatch) logits(row []float32, d, i int) { tensor.MatMulRow(row, b.xs[d].Row(i), b.w) }
+
+func (b inputBatch) top1(row []float32, d, i int) int {
+	b.logits(row, d, i)
+	return tensor.SoftmaxArgmax(row)
+}
+
+// route is Route over t tokens per device read through src.
+//
+// The top-1 gates that rank by the gate probability (Switch and BPR) never
+// read a slot weight: each token is decided by src.top1, which skips the
+// exponentials when the top-1 expert is clear, and admitted in arrival
+// order. Top-2 sees one reused [T, E] score block per device; Random and
+// Hash never read scores, so they see a block with a shape and no data.
+func (l *Layer) route(t int, gate Gate, src tokenLogits) *Routing {
 	cfg := l.Cfg
-	t := xs[0].Rows()
 	r := &Routing{cfg: cfg, tokens: t}
 	e := cfg.TotalExperts()
+	row := make([]float32, e)
+	var scores *tensor.Tensor
 	switch gate.(type) {
 	case ExpertChoiceGate:
 		return r
-	case BatchPrioritizedGate:
-		r.prio = make([][]prioToken, cfg.Devices)
-		row := make([]float32, e)
-		for d := range r.prio {
-			toks := make([]prioToken, t)
-			for i := range toks {
-				tensor.MatMulRow(row, xs[d].Row(i), l.GateW)
-				toks[i] = prioritizeRow(row)
-			}
-			r.prio[d] = toks
+	case SwitchGate, BatchPrioritizedGate:
+	case RandomGate, HashGate:
+		scores = &tensor.Tensor{Shape: []int{t, e}}
+	default:
+		if !gate.PartialBatchSafe() {
+			panic(fmt.Sprintf("moe: Route cannot replay splits of gate %q", gate.Name()))
 		}
-		return r
-	}
-	if !gate.PartialBatchSafe() {
-		panic(fmt.Sprintf("moe: Route cannot replay splits of gate %q", gate.Name()))
-	}
-	r.whole = newStats(cfg)
-	r.keptPrefix = make([][]int32, cfg.Devices)
-	_, switchGate := gate.(SwitchGate)
-	var row []float32
-	var scores *tensor.Tensor
-	if switchGate {
-		row = make([]float32, e)
-	} else {
 		scores = tensor.New(t, e)
 	}
-	for d := range r.keptPrefix {
-		prefix := make([]int32, t+1)
+	r.whole = newStats(cfg)
+	r.kept = make([]uint8, cfg.Devices*t)
+	for d := 0; d < cfg.Devices; d++ {
+		kept := r.kept[d*t : (d+1)*t]
 		st := NewCapacityState(e, cfg.Capacity)
-		if switchGate {
+		if scores == nil {
 			for i := 0; i < t; i++ {
-				tensor.MatMulRow(row, xs[d].Row(i), l.GateW)
-				kept := int32(0)
-				if ex := tensor.SoftmaxArgmax(row); st.take(ex) {
+				if ex := src.top1(row, d, i); st.take(ex) {
 					r.whole.admit(cfg, d, ex)
-					kept = 1
+					kept[i] = 1
 				} else {
 					r.whole.Dropped++
 				}
-				prefix[i+1] = prefix[i] + kept
 			}
 		} else {
-			for i := 0; i < t; i++ {
-				tensor.MatMulRow(scores.Row(i), xs[d].Row(i), l.GateW)
+			if scores.Data != nil {
+				for i := 0; i < t; i++ {
+					src.logits(scores.Row(i), d, i)
+				}
 			}
 			routes := gate.Route(scores, 0, st)
 			for i := range routes {
-				prefix[i+1] = prefix[i] + int32(r.whole.count(cfg, d, routes[i:i+1]))
+				kept[i] = uint8(r.whole.count(cfg, d, routes[i:i+1]))
 			}
 		}
-		r.keptPrefix[d] = prefix
 	}
 	return r
 }
@@ -118,17 +132,9 @@ func (r *Routing) Split(k int) *Stats {
 	}
 	cfg := r.cfg
 	var s *Stats
-	var states []*CapacityState
-	switch {
-	case r.whole != nil:
+	if r.whole != nil {
 		s = r.whole.clone()
-	case r.prio != nil:
-		s = newStats(cfg)
-		states = make([]*CapacityState, cfg.Devices)
-		for d := range states {
-			states[d] = NewCapacityState(cfg.TotalExperts(), cfg.Capacity)
-		}
-	default:
+	} else {
 		s = newStats(cfg)
 	}
 	remaining := cfg.Capacity // expert choice: every expert's, on every device
@@ -138,24 +144,13 @@ func (r *Routing) Split(k int) *Stats {
 			continue
 		}
 		microSent := make([]int, cfg.Devices)
-		switch {
-		case r.whole != nil:
+		if r.whole != nil {
 			for d := range microSent {
-				microSent[d] = int(r.keptPrefix[d][hi] - r.keptPrefix[d][lo])
-			}
-		case r.prio != nil:
-			for d := range microSent {
-				toks := r.prio[d][lo:hi]
-				for _, i := range priorityOrder(toks) {
-					if e := int(toks[i].expert); states[d].take(e) {
-						s.admit(cfg, d, e)
-						microSent[d]++
-					} else {
-						s.Dropped++
-					}
+				for _, n := range r.kept[d*r.tokens+lo : d*r.tokens+hi] {
+					microSent[d] += int(n)
 				}
 			}
-		default:
+		} else {
 			n := min(remaining, hi-lo)
 			s.admitEveryExpert(cfg, n, microSent)
 			remaining -= n

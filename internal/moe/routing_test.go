@@ -151,3 +151,39 @@ func TestRoutePanicsOnUnknownWholeBatchGate(t *testing.T) {
 	}()
 	l.Route(xs, wholeBatchGate{})
 }
+
+// TestBPRCountsMatchArrivalOrder pins the fact BPR's split replay rests on:
+// Batch Prioritized Routing drops other tokens than arrival order when a
+// batch is split, but never other counts, because a top-1 gate admits
+// min(remaining_e, n_e) of a chunk's n_e tokens for expert e in any order.
+// Over generated configs (1–8 devices, 1–3 experts each, 1–60 tokens,
+// capacities from one slot to none dropped, a third of the batches skewed),
+// RouteOnly under BPR reports the statistics RouteOnly under Switch does.
+func TestBPRCountsMatchArrivalOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(300))
+	for trial := 0; trial < 300; trial++ {
+		cfg := Config{Devices: 1 + rng.Intn(8), ExpertsPerDevice: 1 + rng.Intn(3), Hidden: 8, FFN: 4}
+		tokens := 1 + rng.Intn(60)
+		cfg.Capacity = 1 + rng.Intn(tokens+1)
+		l, err := NewGateLayer(cfg, rng.Int63())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var xs []*tensor.Tensor
+		switch rng.Intn(3) {
+		case 0:
+			xs = SkewedInputs(l, tokens, 0.5+rng.Float64(), rng.Int63())
+		default:
+			xs = make([]*tensor.Tensor, cfg.Devices)
+			for d := range xs {
+				xs[d] = tensor.Randn(rng, 1, tokens, cfg.Hidden)
+			}
+		}
+		for k := 1; k <= 10; k++ {
+			_, bpr := l.RouteOnly(xs, BatchPrioritizedGate{}, k)
+			if _, sw := l.RouteOnly(xs, SwitchGate{}, k); !reflect.DeepEqual(bpr, sw) {
+				t.Fatalf("%+v tokens=%d k=%d: BPR\n%+v\nSwitch\n%+v", cfg, tokens, k, bpr, sw)
+			}
+		}
+	}
+}

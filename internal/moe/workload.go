@@ -40,17 +40,21 @@ func HotExpertInputs(l *Layer, tokens int, hotShare float64, seed int64) []*tens
 //
 // The tape keeps the stream's first retain tokens, materialized only as far
 // as requested (72 bytes per token at hidden 16). A longer request
-// extends a private copy and leaves the kept prefix as it is. A Tape is safe
-// for concurrent use.
+// extends a private copy and leaves the kept prefix as it is. The routing
+// entry points (RouteSkewed, RouteHotExpert) also keep, per gate, the
+// projection of the kept tokens' noise, within projectionBudget bytes. A
+// Tape is safe for concurrent use.
 type Tape struct {
 	seed   int64
 	hidden int
 	retain int
 
-	mu    sync.Mutex
-	noise []float32 // hidden normals per kept token; never mutated once kept
-	picks []float64 // one uniform per kept token
-	rng   splitmixRand
+	mu        sync.Mutex
+	noise     []float32 // hidden normals per kept token; never mutated once kept
+	picks     []float64 // one uniform per kept token
+	rng       splitmixRand
+	projs     map[string]*projection // by the gate weights' bits
+	projBytes int                    // held by projs, charged against projectionBudget
 }
 
 // NewTape returns an empty tape of seed's stream at the given hidden width
@@ -64,17 +68,7 @@ func (tp *Tape) SkewedInputs(l *Layer, tokens int, skew float64) []*tensor.Tenso
 	if skew <= 0 {
 		return tp.balanced(l, tokens)
 	}
-	e := l.Cfg.TotalExperts()
-	weights, total := zipfWeights(e, skew)
-	scale := float32(skew)
-	return tp.biased(l, tokens, func(u float64, row []float32) {
-		// Push the token toward its Zipf-picked expert's gate direction
-		// (that column of GateW), raising its score.
-		target := pickWeighted(u, weights, total)
-		for j := range row {
-			row[j] += scale * l.GateW.Data[j*e+target] * 50
-		}
-	})
+	return tp.biased(l, tokens, zipfBias(l.Cfg.TotalExperts(), skew))
 }
 
 // HotExpertInputs is HotExpertInputs(l, tokens, hotShare, seed) for the
@@ -83,22 +77,50 @@ func (tp *Tape) HotExpertInputs(l *Layer, tokens int, hotShare float64) []*tenso
 	if hotShare <= 0 {
 		return tp.balanced(l, tokens)
 	}
-	e := l.Cfg.TotalExperts()
-	return tp.biased(l, tokens, func(u float64, row []float32) {
-		if u >= hotShare {
-			return
-		}
-		// Push the token toward the hot expert's gate direction (the
-		// first column of GateW).
-		for j := range row {
-			row[j] += l.GateW.Data[j*e] * 100
-		}
-	})
+	return tp.biased(l, tokens, hotBias(hotShare))
 }
 
-// biased copies each device's noise out of the tape and applies bias to
+// tokenBias is a biased batch's per-token rule. pick maps a token's pick
+// uniform to the expert whose gate direction (that column of GateW) the
+// token is pushed toward, or reports the token unbiased; push adds
+// scale·GateW[j][target]·mult to each element j of the token's row in
+// float32, rounding after each multiply and after the add. The push's
+// real-valued coefficient c = scale·mult is exact in float64.
+type tokenBias struct {
+	pick        func(u float64) (target int, biased bool)
+	scale, mult float32
+}
+
+// zipfBias pushes every token toward a Zipf-picked expert by skew·50.
+func zipfBias(experts int, skew float64) tokenBias {
+	weights, total := zipfWeights(experts, skew)
+	return tokenBias{
+		pick:  func(u float64) (int, bool) { return pickWeighted(u, weights, total), true },
+		scale: float32(skew), mult: 50,
+	}
+}
+
+// hotBias pushes the fraction hotShare of tokens toward the hot expert
+// (global expert 0) by 100; scale 1 multiplies exactly.
+func hotBias(hotShare float64) tokenBias {
+	return tokenBias{
+		pick:  func(u float64) (int, bool) { return 0, u < hotShare },
+		scale: 1, mult: 100,
+	}
+}
+
+func (b tokenBias) c() float64 { return float64(b.scale) * float64(b.mult) }
+
+func (b tokenBias) push(l *Layer, row []float32, target int) {
+	e := l.Cfg.TotalExperts()
+	for j := range row {
+		row[j] += b.scale * l.GateW.Data[j*e+target] * b.mult
+	}
+}
+
+// biased copies each device's noise out of the tape and applies the bias to
 // every token with the token's pick uniform.
-func (tp *Tape) biased(l *Layer, tokens int, bias func(u float64, row []float32)) []*tensor.Tensor {
+func (tp *Tape) biased(l *Layer, tokens int, b tokenBias) []*tensor.Tensor {
 	cfg := l.Cfg
 	tp.checkHidden(cfg)
 	noise, picks := tp.read(cfg.Devices * tokens)
@@ -107,7 +129,9 @@ func (tp *Tape) biased(l *Layer, tokens int, bias func(u float64, row []float32)
 		x := tensor.New(tokens, cfg.Hidden)
 		copy(x.Data, noise[d*len(x.Data):])
 		for i, u := range picks[d*tokens : (d+1)*tokens] {
-			bias(u, x.Row(i))
+			if target, ok := b.pick(u); ok {
+				b.push(l, x.Row(i), target)
+			}
 		}
 		xs[d] = x
 	}

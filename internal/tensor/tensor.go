@@ -242,14 +242,17 @@ func Argmax(x []float32) int {
 func SoftmaxArgmax(x []float32) int {
 	m, best := x[0], 0
 	below := float32(math.Inf(-1)) // the largest entry before best
-	nan := m != m
+	if m != m {
+		return Argmax(Softmax(x))
+	}
 	for i, v := range x[1:] {
 		if v > m {
 			below, m, best = m, v, i+1
+		} else if v != v {
+			return Argmax(Softmax(x))
 		}
-		nan = nan || v != v
 	}
-	if !nan && !math.IsInf(float64(m), 0) && (best == 0 || float64(m)-float64(below) > 1e-6) {
+	if !math.IsInf(float64(m), 0) && (best == 0 || float64(m)-float64(below) > 1e-6) {
 		return best
 	}
 	return Argmax(Softmax(x))

@@ -337,9 +337,11 @@ type Session struct {
 	mu       sync.Mutex              // guards profiles and routing; plans of one session may run concurrently
 	profiles map[int]*routingProfile // cache: micro-batch count -> profile
 	// routing is the parametric proxy's one gate run, for routingShape;
-	// profile derives every micro-batch split from it.
+	// profile derives every micro-batch split from it. routingNet is its
+	// send histogram, which every split shares.
 	routing      *moe.Routing
 	routingShape proxyShape
+	routingNet   *netsim.RoutingProfile
 }
 
 // routingProfile is what one functional gate run over a proxy batch tells
@@ -952,8 +954,9 @@ type proxyKey struct {
 // proxyMemoCapacity bounds the process-wide proxy memo. The experiment suite
 // plans 28 distinct keys and the root-package tests at most 39, so both run
 // without eviction, while a server fed never-seen skew values keeps a fixed
-// footprint instead of one entry per request.
-const proxyMemoCapacity = 256
+// footprint instead of one entry per request; a miss costs one cheap gate
+// run over the cached tape projection.
+const proxyMemoCapacity = 64
 
 // proxyMemo memoizes routing profiles across sessions (DESIGN.md §13): a
 // cold plan for a (cluster, gate, workload, k) key the process planned
@@ -1032,43 +1035,40 @@ const (
 // proxyNoise is the skewed proxy batches' synthetic noise, drawn once per
 // process: a request adds only its Zipf or hot-expert bias. It keeps the
 // first 256 devices' tokens (4.5 MiB), materialized only as far as a proxy
-// has asked; a larger proxy extends a private copy.
+// has asked; a larger proxy extends a private copy. It also keeps, per gate
+// layer, the gate projection of its kept tokens (at most 4 MiB in all).
 var proxyNoise = moe.NewTape(proxySeed, proxyHidden, 256*proxyTokens)
 
-// route runs the functional gate once over the shape's proxy batch.
+// route runs the functional gate once over the shape's proxy batch. A
+// skewed batch is routed straight from the noise tape, which builds a
+// token's input only when it cannot decide the token from its cached gate
+// projection.
 func (sh proxyShape) route() (*moe.Routing, error) {
-	layer, inputs, err := sh.batch()
+	layer, err := sh.layer()
 	if err != nil {
 		return nil, err
 	}
-	return layer.Route(inputs, gateFor(sh.gate)), nil
+	gate := gateFor(sh.gate)
+	switch {
+	case sh.skew > 0:
+		return proxyNoise.RouteSkewed(layer, proxyTokens, sh.skew, gate), nil
+	case sh.hot > 0:
+		return proxyNoise.RouteHotExpert(layer, proxyTokens, sh.hot, gate), nil
+	}
+	return layer.Route(makeProxyInputs(sh.devices, proxyTokens, proxyHidden), gate), nil
 }
 
-// batch builds the shape's gate-only layer and its scaled-down synthetic
-// token batch.
-func (sh proxyShape) batch() (*moe.Layer, []*tensor.Tensor, error) {
+// layer builds the shape's gate-only proxy layer.
+func (sh proxyShape) layer() (*moe.Layer, error) {
 	experts := sh.devices * sh.expertsPerGPU
 	capacity := int(float64(proxyTokens*sh.gate.TopK()) / float64(experts) * sh.capacityFactor)
 	if capacity < 1 {
 		capacity = 1
 	}
-	layer, err := moe.NewGateLayer(moe.Config{
+	return moe.NewGateLayer(moe.Config{
 		Devices: sh.devices, ExpertsPerDevice: sh.expertsPerGPU,
 		Capacity: capacity, Hidden: proxyHidden, FFN: 16,
 	}, 12345)
-	if err != nil {
-		return nil, nil, err
-	}
-	var inputs []*tensor.Tensor
-	switch {
-	case sh.skew > 0:
-		inputs = proxyNoise.SkewedInputs(layer, proxyTokens, sh.skew)
-	case sh.hot > 0:
-		inputs = proxyNoise.HotExpertInputs(layer, proxyTokens, sh.hot)
-	default:
-		inputs = makeProxyInputs(sh.devices, proxyTokens, proxyHidden)
-	}
-	return layer, inputs, nil
 }
 
 // profile returns the dispatch statistics of the session's workload split
@@ -1100,29 +1100,34 @@ func (s *Session) profile(k int) (*routingProfile, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.routing, s.routingShape = r, shape
+		s.routing, s.routingShape, s.routingNet = r, shape, nil
 	}
-	p, err := newRoutingProfile(s.routing.Split(k), shape)
+	p, err := newRoutingProfile(s.routing.Split(k), shape, s.routingNet)
 	if err != nil {
 		return nil, err
 	}
+	s.routingNet = p.net
 	proxyMemo.put(key, p)
 	s.profiles[k] = p
 	return p, nil
 }
 
-// newRoutingProfile packages one proxy split's statistics.
-func newRoutingProfile(stats *moe.Stats, shape proxyShape) (*routingProfile, error) {
+// newRoutingProfile packages one proxy split's statistics. A skewed
+// shape's send histogram is built from the split's totals unless net
+// carries it from another split of the same gate run: Split regroups only
+// the micro-batch counts, so the totals are the same for every k.
+func newRoutingProfile(stats *moe.Stats, shape proxyShape, net *netsim.RoutingProfile) (*routingProfile, error) {
 	p := &routingProfile{
 		devices: shape.devices, tokens: proxyTokens,
 		hotExpertShare: stats.HottestExpertShare(),
+		net:            net,
 	}
 	for _, row := range stats.SendTokens {
 		for _, c := range row {
 			p.routedTokens += int64(c)
 		}
 	}
-	if shape.skew > 0 || shape.hot > 0 {
+	if p.net == nil && (shape.skew > 0 || shape.hot > 0) {
 		np, err := netsim.ProfileFromCounts(stats.SendTokens)
 		if err != nil {
 			return nil, fmt.Errorf("lancet: routing profile from gate counts: %w", err)

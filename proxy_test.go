@@ -6,18 +6,29 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"lancet/internal/tensor"
 )
 
 // proxyOracle builds the k-way proxy profile the slow way, from a fresh
-// k-way RouteOnly gate run over the shape's proxy batch.
+// k-way RouteOnly gate run over the shape's materialized proxy batch.
 func proxyOracle(t *testing.T, shape proxyShape, k int) *routingProfile {
 	t.Helper()
-	layer, inputs, err := shape.batch()
+	layer, err := shape.layer()
 	if err != nil {
 		t.Fatal(err)
 	}
+	var inputs []*tensor.Tensor
+	switch {
+	case shape.skew > 0:
+		inputs = proxyNoise.SkewedInputs(layer, proxyTokens, shape.skew)
+	case shape.hot > 0:
+		inputs = proxyNoise.HotExpertInputs(layer, proxyTokens, shape.hot)
+	default:
+		inputs = makeProxyInputs(shape.devices, proxyTokens, proxyHidden)
+	}
 	_, stats := layer.RouteOnly(inputs, gateFor(shape.gate), k)
-	p, err := newRoutingProfile(stats, shape)
+	p, err := newRoutingProfile(stats, shape, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,10 +179,10 @@ func TestProfileConcurrent(t *testing.T) {
 var routeProxySeq int
 
 // BenchmarkRouteProxy measures one cold proxy gate run at 32 GPUs, the
-// work a never-seen skewed shape costs the routing profile: the proxy
-// batch (the shared noise tape plus the per-request bias) and Route. It
-// covers the Switch gate under Zipf routing and Batch Prioritized Routing
-// under a hot expert. perf_floor.txt ratchets both.
+// work a never-seen skewed shape costs the routing profile: routing the
+// shared noise tape under the per-request bias. It covers every quadrant of
+// the Switch gate and Batch Prioritized Routing under Zipf and hot-expert
+// routing, and perf_floor.txt ratchets all four.
 func BenchmarkRouteProxy(b *testing.B) {
 	bpr := GPT2SMoE(0)
 	bpr.Gate = GateBatchPriority
@@ -179,7 +190,10 @@ func BenchmarkRouteProxy(b *testing.B) {
 		name string
 		cfg  ModelConfig
 		zipf bool
-	}{{"switch_zipf", GPT2SMoE(0), true}, {"bpr_hot", bpr, false}} {
+	}{
+		{"switch_zipf", GPT2SMoE(0), true}, {"switch_hot", GPT2SMoE(0), false},
+		{"bpr_zipf", bpr, true}, {"bpr_hot", bpr, false},
+	} {
 		b.Run(c.name, func(b *testing.B) {
 			s, err := NewSession(c.cfg, MustCluster("V100", 32))
 			if err != nil {
